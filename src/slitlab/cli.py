@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,19 @@ VISIBILITY_HALF_PERIODS = 1
 SAMPLED_VISIBILITY_HALF_PERIODS = 3
 CHI2_HALF_PERIODS = 6
 CHI2_BINS = 96
+
+# CSV rows are formatted and written this many at a time, so the writer's
+# memory depends on the block, not on the length of the record.
+CSV_BLOCK_ROWS = 65_536
+
+# Float parameters and the flags that set them; NaN and inf are rejected.
+_FLOAT_FLAGS = {
+    "total_time": "--total-time",
+    "wavelength": "--wavelength",
+    "hole_width": "--hole-width",
+    "separation": "--separation",
+    "distance": "--distance",
+}
 
 
 class ConfigError(ValueError):
@@ -161,6 +175,10 @@ def parse_args(argv: list[str]) -> RunConfig:
         elif attr in file_values:
             setattr(config, attr, file_values[attr])
 
+    for attr, flag in _FLOAT_FLAGS.items():
+        value = getattr(config, attr)
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     if config.n_electrons < 1:
         raise ConfigError("--n must be at least 1")
     if config.total_time <= 0:
@@ -176,11 +194,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@dataclass(frozen=True)
+class _Labels:
+    """A CSV column of text labels, stored as indices into ``names``."""
+
+    names: tuple[str, ...]
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+# (file name, header, columns) of one CSV artifact.
+_Table = tuple[str, list[str], list]
+
+
+def _cells(column, start: int, stop: int):
+    """The text of one column's cells in rows [start, stop)."""
+    if isinstance(column, _Labels):
+        return map(column.names.__getitem__, column.codes[start:stop].tolist())
+    block = column[start:stop]
+    if isinstance(block, np.ndarray) and block.dtype == np.float64:
+        # tolist() yields Python floats: the same text as _fmt, without its dispatch
+        return map(repr, block.tolist())
+    return map(_fmt, block)
+
+
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="")
+    """Write equal-length columns under a header, one block of rows at a time."""
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"{path.name}: columns differ in length")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            cells = [_cells(column, start, stop) for column in columns]
+            rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+            fh.write("\n".join(rows))
+            fh.write("\n")
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -227,7 +279,7 @@ def _chi2_against(
     return stats.chi_square_gof(hist, windowed), n_bins
 
 
-def _run_interference(config: RunConfig, out: Path) -> dict:
+def _run_interference(config: RunConfig) -> tuple[dict, list[_Table]]:
     """g1 and g3_early_off: coherent pattern, every electron unseen."""
     geom = config.geometry()
     illumination = _illumination(config.experiment)
@@ -237,13 +289,9 @@ def _run_interference(config: RunConfig, out: Path) -> dict:
         density, config.n_electrons, rng, source_config=illumination, seed=config.seed
     )
 
-    _write_csv(out / "density.csv", ["x_m", "analytic_density_per_m"],
-               [density.x, density.values])
-    _write_csv(out / "samples.csv", ["x_m"], [sample.positions])
-
     period = geom.fringe_period
     chi2, n_bins = _chi2_against(sample.positions, density, geom)
-    return {
+    summary = {
         "experiment": config.experiment,
         "n_electrons": config.n_electrons,
         "seed": config.seed,
@@ -259,9 +307,14 @@ def _run_interference(config: RunConfig, out: Path) -> dict:
         "chi2_dof": chi2.dof,
         "chi2_p_value": chi2.p_value,
     }
+    tables = [
+        ("density.csv", ["x_m", "analytic_density_per_m"], [density.x, density.values]),
+        ("samples.csv", ["x_m"], [sample.positions]),
+    ]
+    return summary, tables
 
 
-def _run_which_path(config: RunConfig, out: Path) -> dict:
+def _run_which_path(config: RunConfig) -> tuple[dict, list[_Table]]:
     """g2 and g3: per-electron sighting outcome, then the branch density."""
     geom = config.geometry()
     illumination = _illumination(config.experiment)
@@ -286,16 +339,6 @@ def _run_which_path(config: RunConfig, out: Path) -> dict:
     hole_a = measurement.conditional_density(illumination, OutcomeTag.SEEN_AT_A, geom)
     null_tag = OutcomeTag.SEEN_AT_B if config.experiment == "g2" else OutcomeTag.NOT_SEEN
     hole_b = measurement.conditional_density(illumination, null_tag, geom)
-    _write_csv(
-        out / "density.csv",
-        ["x_m", "analytic_density_per_m", "hole_a_component_per_m", "hole_b_component_per_m"],
-        [density.x, density.values,
-         probs[OutcomeTag.SEEN_AT_A] * hole_a.values,
-         probs[null_tag] * hole_b.values],
-    )
-    outcome_names = [order[i].value for i in outcome_index]
-    _write_csv(out / "samples.csv", ["x_m", "outcome"], [positions, outcome_names])
-
     period = geom.fringe_period
     sample = stats.PositionSample(positions, geom, illumination, config.seed)
     chi2, n_bins = _chi2_against(positions, density, geom)
@@ -319,10 +362,19 @@ def _run_which_path(config: RunConfig, out: Path) -> dict:
             conditional = measurement.conditional_density(illumination, tag, geom)
             branch_chi2, _ = _chi2_against(positions[mask], conditional, geom)
             summary[f"chi2_p_value_{tag.value}"] = branch_chi2.p_value
-    return summary
+    tables = [
+        ("density.csv",
+         ["x_m", "analytic_density_per_m", "hole_a_component_per_m", "hole_b_component_per_m"],
+         [density.x, density.values,
+          probs[OutcomeTag.SEEN_AT_A] * hole_a.values,
+          probs[null_tag] * hole_b.values]),
+        ("samples.csv", ["x_m", "outcome"],
+         [positions, _Labels(tuple(tag.value for tag in order), outcome_index)]),
+    ]
+    return summary, tables
 
 
-def _run_shelving(config: RunConfig, out: Path) -> dict:
+def _run_shelving(config: RunConfig) -> tuple[dict, list[_Table]]:
     rates = shelving.default_rates()
     threshold = shelving.default_dark_threshold(rates)
     rng = np.random.default_rng(config.seed)
@@ -330,16 +382,6 @@ def _run_shelving(config: RunConfig, out: Path) -> dict:
     record = shelving.emit_photons(traj, rates, rng)
     inferred = shelving.detect_jumps(record, threshold)
     score = shelving.score_detections(traj, inferred, threshold)
-
-    absolute = traj.absolute_intervals()
-    _write_csv(
-        out / "trajectory.csv",
-        ["state", "start_s", "duration_s"],
-        [[s.value for s, _, _ in absolute],
-         [t0 for _, t0, _ in absolute],
-         [t1 - t0 for _, t0, t1 in absolute]],
-    )
-    _write_csv(out / "photons.csv", ["arrival_time_s"], [record.arrival_times])
 
     bright = traj.durations(shelving.IonState.BRIGHT)
     dark = traj.durations(shelving.IonState.DARK)
@@ -368,20 +410,29 @@ def _run_shelving(config: RunConfig, out: Path) -> dict:
     if dark.size >= 10:
         ks = stats.ks_exponential(dark, rates.deshelve_rate)
         summary["ks_p_value_dark"] = ks.p_value
-    return summary
+    absolute = traj.absolute_intervals()
+    tables = [
+        ("trajectory.csv", ["state", "start_s", "duration_s"],
+         [[s.value for s, _, _ in absolute],
+          [t0 for _, t0, _ in absolute],
+          [t1 - t0 for _, t0, t1 in absolute]]),
+        ("photons.csv", ["arrival_time_s"], [record.arrival_times]),
+    ]
+    return summary, tables
 
 
 def run(config: RunConfig) -> None:
-    """Execute one experiment, writing all artifacts into the output directory."""
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment, then write all artifacts into the output directory.
 
+    Every check and computation finishes before the directory is created,
+    so a run that fails anywhere but in the writing leaves no directory.
+    """
     if config.experiment in ("g1", "g3_early_off"):
-        summary = _run_interference(config, out)
+        summary, tables = _run_interference(config)
     elif config.experiment in ("g2", "g3"):
-        summary = _run_which_path(config, out)
+        summary, tables = _run_which_path(config)
     elif config.experiment == "shelving":
-        summary = _run_shelving(config, out)
+        summary, tables = _run_shelving(config)
     else:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
 
@@ -410,6 +461,11 @@ def run(config: RunConfig) -> None:
             grid_max=0.2,
             grid_points=8192,
         )
+
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, columns in tables:
+        _write_csv(out / name, header, columns)
     _write_config_echo(out / "config_resolved.txt", echo)
     _write_summary(out / "summary.json", summary)
 

@@ -10,6 +10,7 @@ forms; it is intended for tests, not for production paths.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -77,6 +78,10 @@ class SlitGeometry:
     grid_points: int
 
     def __post_init__(self) -> None:
+        for name in ("hole_separation", "hole_width_a", "hole_width_b", "wall_to_backstop",
+                     "de_broglie_wavelength", "grid_min", "grid_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.hole_separation <= 0:
             raise ValueError("hole_separation must be positive")
         if self.hole_width_a <= 0 or self.hole_width_b <= 0:

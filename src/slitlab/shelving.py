@@ -161,8 +161,8 @@ def simulate_trajectory(
     rates: VSystemRates, total_time: float, rng: np.random.Generator
 ) -> TelegraphTrajectory:
     """Alternating exponential dwells, starting bright, truncated at total_time."""
-    if total_time <= 0:
-        raise ValueError("total_time must be positive")
+    if not math.isfinite(total_time) or total_time <= 0:
+        raise ValueError(f"total_time must be positive and finite, got {total_time!r}")
     intervals: list[tuple[IonState, float]] = []
     state = IonState.BRIGHT
     elapsed = 0.0
@@ -189,6 +189,7 @@ def emit_photons(
 
     Per bright interval the count is Poisson and the arrivals are placed
     uniformly (the conditional law of a homogeneous Poisson process).
+    Arrivals that round to the same double are kept once.
     """
     chunks = []
     for state, start, end in traj.absolute_intervals():
@@ -198,11 +199,13 @@ def emit_photons(
         count = int(rng.poisson(rates.fluorescence_rate * duration))
         if count:
             chunks.append(start + np.sort(rng.random(count)) * duration)
-    if chunks:
-        times = np.unique(np.concatenate(chunks))
-    else:
-        times = np.empty(0, dtype=float)
-    return PhotonRecord(times, traj.total_time)
+    times = np.concatenate(chunks) if chunks else np.empty(0, dtype=float)
+    # Each chunk is sorted and the chunks follow the dwells, so the record is
+    # already in order and equal times can only be neighbours.
+    distinct = np.empty(times.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(times[1:], times[:-1], out=distinct[1:])
+    return PhotonRecord(times[distinct], traj.total_time)
 
 
 def detect_jumps(record: PhotonRecord, dark_threshold: float) -> list[tuple[float, float]]:

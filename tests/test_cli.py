@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from slitlab.cli import main, parse_args
+import slitlab.cli as cli
+from slitlab.cli import ConfigError, main, parse_args
 
 
 def read_summary(path):
@@ -177,3 +178,120 @@ def test_sample_positions_stay_numeric(tmp_path):
     values = np.array([float(v) for v in body])
     assert values.size == 500
     assert np.all(np.abs(values) <= 0.2)
+
+
+class TestNonFiniteInputs:
+    FLAGS = ["--total-time", "--wavelength", "--hole-width", "--separation", "--distance"]
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_flag_rejected_by_parse_args(self, flag, value):
+        experiment = "shelving" if flag == "--total-time" else "g1"
+        with pytest.raises(ConfigError, match=f"{flag} must be finite"):
+            parse_args([experiment, "--out", "x", f"{flag}={value}"])
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_config_file_value_rejected_by_parse_args(self, tmp_path, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:].replace('-', '_')}=inf\n")
+        with pytest.raises(ConfigError, match=f"{flag} must be finite"):
+            parse_args(["g1", "--out", "x", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("argv", [
+        ["shelving", "--total-time", "nan"],
+        ["g1", "--distance", "nan"],
+        ["g2", "--hole-width", "nan"],
+    ])
+    def test_nan_is_a_config_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["g1", "--n", "3"],  # too few electrons for the chi-square fit
+    ["g3", "--n", "3"],
+    ["g1", "--wavelength", "nan"],
+    ["g1", "--separation", "inf"],
+])
+def test_failed_run_leaves_no_output_directory(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) != 0
+    assert not out.exists()
+
+
+def reference_fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_write_csv(path, header, columns) -> None:
+    """The per-cell writer that the column-wise one replaced, kept as its reference."""
+    columns = [[column.names[i] for i in column.codes] if isinstance(column, cli._Labels)
+               else column for column in columns]
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(reference_fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", newline="")
+
+
+@pytest.mark.parametrize("argv", [
+    ["g1", "--n", "4000"],
+    ["g2", "--n", "4000"],
+    ["g3", "--n", "4000"],
+    ["g3_early_off", "--n", "4000"],
+    ["shelving", "--total-time", "4"],
+])
+def test_artifacts_match_the_per_cell_writer(tmp_path, monkeypatch, argv):
+    args = argv + ["--seed", "21", "--out", "run"]
+    (tmp_path / "new").mkdir()
+    (tmp_path / "reference").mkdir()
+    monkeypatch.chdir(tmp_path / "new")
+    assert main(args) == 0
+    monkeypatch.chdir(tmp_path / "reference")
+    monkeypatch.setattr(cli, "_write_csv", reference_write_csv)
+    assert main(args) == 0
+    names = sorted(path.name for path in (tmp_path / "new" / "run").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "reference" / "run").iterdir())
+    for name in names:
+        new = (tmp_path / "new" / "run" / name).read_bytes()
+        assert new == (tmp_path / "reference" / "run" / name).read_bytes(), name
+
+
+def assert_writers_agree(tmp_path, header, columns):
+    cli._write_csv(tmp_path / "new.csv", header, columns)
+    reference_write_csv(tmp_path / "reference.csv", header, columns)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "reference.csv").read_bytes()
+    return new
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1])
+def test_writer_matches_reference_at_block_edges(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+    codes = rng.integers(0, 3, n_rows)
+    columns = [floats, codes, codes == 1, cli._Labels(("seen_at_a", "seen_at_b", "not_seen"), codes)]
+    text = assert_writers_agree(tmp_path, ["x", "code", "flag", "outcome"], columns)
+    assert text.count(b"\n") == n_rows + 1
+    single = assert_writers_agree(tmp_path, ["x"], [floats])
+    if n_rows == 0:
+        assert single == b"x\n"
+
+
+def test_writer_matches_reference_on_edge_cells(tmp_path):
+    floats = [-0.0, 1e-05, 1e16, 5e-324, 0.1, -1.5e-300, float("inf"), float("nan")]
+    n = len(floats)
+    ints = list(range(-3, n - 3))
+    bools = [True, False] * (n // 2)
+    labels = ["bright", "dark"] * (n // 2)
+    columns = [np.array(floats), floats, np.array(ints), ints, np.array(bools), bools,
+               labels, cli._Labels(("bright", "dark"), np.arange(n) % 2)]
+    text = assert_writers_agree(tmp_path, [f"c{i}" for i in range(len(columns))], columns)
+    rows = text.decode().splitlines()
+    assert rows[1] == "-0.0,-0.0,-3,-3,true,true,bright,bright"
+    assert rows[4].split(",")[:2] == ["5e-324", "5e-324"]
+    assert rows[2].split(",")[:2] == ["1e-05", "1e-05"]
+    assert rows[3].split(",")[:2] == ["1e+16", "1e+16"]

@@ -63,6 +63,15 @@ class TestGeometryGuards:
         with pytest.raises(ValueError):
             make_geometry(grid_min=0.2, grid_max=-0.2)
 
+    @pytest.mark.parametrize("name", [
+        "hole_separation", "hole_width_a", "hole_width_b", "wall_to_backstop",
+        "de_broglie_wavelength", "grid_min", "grid_max",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lengths_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_geometry(**{name: value})
+
 
 class TestSingleHoleAmplitude:
     def test_equal_widths_split_the_weight(self):

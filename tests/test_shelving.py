@@ -80,6 +80,11 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="sum"):
             TelegraphTrajectory(((IonState.BRIGHT, 1.0),), 2.0)
 
+    def test_non_finite_total_time_rejected(self):
+        # NaN, not inf: a regression on inf would loop until memory runs out.
+        with pytest.raises(ValueError, match="finite"):
+            simulate_trajectory(default_rates(), float("nan"), np.random.default_rng(0))
+
     def test_seed_determinism(self):
         a = simulate_trajectory(default_rates(), 100.0, np.random.default_rng(7))
         b = simulate_trajectory(default_rates(), 100.0, np.random.default_rng(7))
@@ -112,6 +117,29 @@ class TestPhotonEmission:
             PhotonRecord(np.array([0.2, 0.1]), 1.0)
         with pytest.raises(ValueError, match="within"):
             PhotonRecord(np.array([2.0]), 1.0)
+
+    def test_equal_arrival_times_are_kept_once(self):
+        class PlantedDraws:
+            """Hands emit_photons fixed uniform draws, repeats included."""
+
+            def __init__(self, draws):
+                self.draws = list(draws)
+
+            def poisson(self, mean):
+                return len(self.draws[0])
+
+            def random(self, count):
+                return self.draws.pop(0)
+
+        draws = [np.array([0.75, 0.25, 0.5, 0.25, 0.5, 0.5, 0.0]),
+                 np.array([0.0, 0.0, 0.1, 0.9, 0.9])]
+        traj = TelegraphTrajectory(
+            ((IonState.BRIGHT, 1.0), (IonState.DARK, 0.5), (IonState.BRIGHT, 1.0)), 2.5)
+        record = emit_photons(traj, default_rates(), PlantedDraws(draws))
+        expected = np.unique(np.concatenate(
+            [start + np.sort(u) * 1.0 for start, u in zip((0.0, 1.5), draws)]))
+        assert record.arrival_times.size == 7 < sum(len(u) for u in draws)
+        assert record.arrival_times.tobytes() == expected.tobytes()
 
     def test_seed_determinism(self):
         rates = default_rates()
