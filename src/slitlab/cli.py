@@ -16,6 +16,7 @@ same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,12 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import measurement, shelving, stats
-from .optics import QuadratureConvergenceError, RealDensity, SlitGeometry, visibility
-from .measurement import IlluminationConfig, IlluminationMode, OutcomeTag
+from .optics import QuadratureConvergenceError, SlitGeometry, default_geometry, visibility
+from .measurement import OUTCOME_ORDER, IlluminationConfig, IlluminationMode, OutcomeTag
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_args", "run"]
 
-EXPERIMENTS = ("g1", "g2", "g3", "g3_early_off", "shelving")
+TWO_HOLE_EXPERIMENTS = ("g1", "g2", "g3", "g3_early_off")
+EXPERIMENTS = TWO_HOLE_EXPERIMENTS + ("shelving",)
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
@@ -44,7 +46,6 @@ EXIT_IO = 3
 VISIBILITY_HALF_PERIODS = 1
 SAMPLED_VISIBILITY_HALF_PERIODS = 3
 CHI2_HALF_PERIODS = 6
-CHI2_BINS = 96
 
 # CSV rows are formatted and written this many at a time, so the writer's
 # memory depends on the block, not on the length of the record.
@@ -64,6 +65,9 @@ class ConfigError(ValueError):
     """Invalid command line, config file, or parameter combination."""
 
 
+_DEFAULT_GEOMETRY = default_geometry()
+
+
 @dataclass
 class RunConfig:
     experiment: str
@@ -71,21 +75,20 @@ class RunConfig:
     n_electrons: int = 100_000
     total_time: float = 30.0
     seed: int = 0
-    wavelength: float = 50e-9
-    hole_width: float = 0.5e-6
-    separation: float = 5e-6
-    distance: float = 1.0
+    wavelength: float = _DEFAULT_GEOMETRY.de_broglie_wavelength
+    hole_width: float = _DEFAULT_GEOMETRY.hole_width_a
+    separation: float = _DEFAULT_GEOMETRY.hole_separation
+    distance: float = _DEFAULT_GEOMETRY.wall_to_backstop
 
     def geometry(self) -> SlitGeometry:
-        return SlitGeometry(
+        """The default geometry with this run's wavelength, holes and distance."""
+        return dataclasses.replace(
+            _DEFAULT_GEOMETRY,
             hole_separation=self.separation,
             hole_width_a=self.hole_width,
             hole_width_b=self.hole_width,
             wall_to_backstop=self.distance,
             de_broglie_wavelength=self.wavelength,
-            grid_min=-0.2,
-            grid_max=0.2,
-            grid_points=8192,
         )
 
 
@@ -254,122 +257,69 @@ def _illumination(experiment: str) -> IlluminationConfig:
     return IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=False)
 
 
-def _pick_bins(windowed: RealDensity, lo: float, hi: float, n_in_window: int) -> int:
-    """Finest bin count whose fringe-minimum bins still expect >= 5 counts."""
-    cdf = stats.GriddedCdf(windowed)
-    for n_bins in (CHI2_BINS, 64, 48, 32, 24, 16, 12, 8):
-        edges = np.linspace(lo, hi, n_bins + 1)
-        expected = cdf.interval_masses(edges) * n_in_window
-        _, merged = stats._merge_edges_inward(np.zeros(n_bins), expected)
-        if np.all(merged >= stats.MIN_EXPECTED_PER_BIN):
-            return n_bins
-    return 8
+def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
+    """g1, g2, g3 and g3_early_off: a sighting outcome per electron, then its position.
 
-
-def _chi2_against(
-    positions: np.ndarray, expected: RealDensity, geom: SlitGeometry
-) -> tuple[stats.ChiSquareResult, int]:
-    half = CHI2_HALF_PERIODS * geom.fringe_period
-    windowed = expected.restrict(-half, half)
-    lo, hi = windowed.x[0], windowed.x[-1]
-    sample = stats.PositionSample(positions, geom)
-    conditioned = stats.filter_positions(sample, lo, hi)
-    n_bins = _pick_bins(windowed, lo, hi, len(conditioned))
-    hist = stats.histogram(conditioned, n_bins, (lo, hi))
-    return stats.chi_square_gof(hist, windowed), n_bins
-
-
-def _run_interference(config: RunConfig) -> tuple[dict, list[_Table]]:
-    """g1 and g3_early_off: coherent pattern, every electron unseen."""
-    geom = config.geometry()
-    illumination = _illumination(config.experiment)
-    density = measurement.ensemble_density(illumination, geom)
-    rng = np.random.default_rng(config.seed)
-    sample = stats.sample_positions(
-        density, config.n_electrons, rng, source_config=illumination, seed=config.seed
-    )
-
-    period = geom.fringe_period
-    chi2, n_bins = _chi2_against(sample.positions, density, geom)
-    summary = {
-        "experiment": config.experiment,
-        "n_electrons": config.n_electrons,
-        "seed": config.seed,
-        "frac_seen_at_a": 0.0,
-        "frac_seen_at_b": 0.0,
-        "frac_not_seen": 1.0,
-        "visibility_analytic": visibility(density, (-period, period)),
-        "visibility_sampled": stats.fringe_visibility_from_positions(
-            sample, SAMPLED_VISIBILITY_HALF_PERIODS
-        ),
-        "chi2_bins": n_bins,
-        "chi2_statistic": chi2.statistic,
-        "chi2_dof": chi2.dof,
-        "chi2_p_value": chi2.p_value,
-    }
-    tables = [
-        ("density.csv", ["x_m", "analytic_density_per_m"], [density.x, density.values]),
-        ("samples.csv", ["x_m"], [sample.positions]),
-    ]
-    return summary, tables
-
-
-def _run_which_path(config: RunConfig) -> tuple[dict, list[_Table]]:
-    """g2 and g3: per-electron sighting outcome, then the branch density."""
+    The outcome is informative unless every electron goes unseen (g1,
+    g3_early_off).  Only an informative outcome adds the outcome column,
+    the two per-hole density columns and the per-outcome chi-square
+    p-values.  Chi-square fields are null when too few arrivals fall in
+    the window for the test, and the sampled visibility is null when none
+    falls in its window.
+    """
     geom = config.geometry()
     illumination = _illumination(config.experiment)
     density = measurement.ensemble_density(illumination, geom)
     probs = measurement.outcome_probabilities(illumination, geom)
-
-    order = (OutcomeTag.SEEN_AT_A, OutcomeTag.SEEN_AT_B, OutcomeTag.NOT_SEEN)
-    edges = np.cumsum([probs[tag] for tag in order])
+    informative = probs[OutcomeTag.NOT_SEEN] < 1.0
     rng = np.random.default_rng(config.seed)
-    outcome_index = np.searchsorted(edges, rng.random(config.n_electrons), side="right")
-    outcome_index = np.minimum(outcome_index, len(order) - 1)
-    u_position = rng.random(config.n_electrons)
+    outcome_index, positions = measurement.sample_arrivals(
+        illumination, geom, config.n_electrons, rng
+    )
 
-    positions = np.empty(config.n_electrons, dtype=float)
-    for idx, tag in enumerate(order):
-        mask = outcome_index == idx
-        if not mask.any():
-            continue
-        conditional = measurement.conditional_density(illumination, tag, geom)
-        positions[mask] = stats.GriddedCdf(conditional).ppf(u_position[mask])
-
-    hole_a = measurement.conditional_density(illumination, OutcomeTag.SEEN_AT_A, geom)
-    null_tag = OutcomeTag.SEEN_AT_B if config.experiment == "g2" else OutcomeTag.NOT_SEEN
-    hole_b = measurement.conditional_density(illumination, null_tag, geom)
     period = geom.fringe_period
-    sample = stats.PositionSample(positions, geom, illumination, config.seed)
-    chi2, n_bins = _chi2_against(positions, density, geom)
+    visibility_sampled = None
+    if np.any(np.abs(positions) <= SAMPLED_VISIBILITY_HALF_PERIODS * period):
+        visibility_sampled = stats.fringe_visibility_from_positions(
+            stats.PositionSample(positions, geom), SAMPLED_VISIBILITY_HALF_PERIODS
+        )
+    chi2, n_bins = stats.windowed_chi2(positions, density, CHI2_HALF_PERIODS)
     summary = {
         "experiment": config.experiment,
         "n_electrons": config.n_electrons,
         "seed": config.seed,
         "visibility_analytic": visibility(density, (-period, period)),
-        "visibility_sampled": stats.fringe_visibility_from_positions(
-            sample, SAMPLED_VISIBILITY_HALF_PERIODS
-        ),
+        "visibility_sampled": visibility_sampled,
         "chi2_bins": n_bins,
-        "chi2_statistic": chi2.statistic,
-        "chi2_dof": chi2.dof,
-        "chi2_p_value": chi2.p_value,
     }
-    for idx, tag in enumerate(order):
+    for field in ("statistic", "dof", "p_value"):
+        summary[f"chi2_{field}"] = None if chi2 is None else getattr(chi2, field)
+    for idx, tag in enumerate(OUTCOME_ORDER):
         mask = outcome_index == idx
         summary[f"frac_{tag.value}"] = float(mask.mean())
-        if probs[tag] > 0 and mask.any():
+        if informative and probs[tag] > 0:
             conditional = measurement.conditional_density(illumination, tag, geom)
-            branch_chi2, _ = _chi2_against(positions[mask], conditional, geom)
-            summary[f"chi2_p_value_{tag.value}"] = branch_chi2.p_value
+            branch_chi2, _ = stats.windowed_chi2(positions[mask], conditional, CHI2_HALF_PERIODS)
+            summary[f"chi2_p_value_{tag.value}"] = (
+                None if branch_chi2 is None else branch_chi2.p_value
+            )
+
+    density_columns = [density.x, density.values]
+    density_header = ["x_m", "analytic_density_per_m"]
+    sample_columns = [positions]
+    sample_header = ["x_m"]
+    if informative:
+        # Hole B's branch is reached by a sighting there (g2) or by a null one (g3).
+        b_tag = OutcomeTag.SEEN_AT_B if probs[OutcomeTag.SEEN_AT_B] > 0 else OutcomeTag.NOT_SEEN
+        for tag in (OutcomeTag.SEEN_AT_A, b_tag):
+            conditional = measurement.conditional_density(illumination, tag, geom)
+            density_columns.append(probs[tag] * conditional.values)
+        density_header += ["hole_a_component_per_m", "hole_b_component_per_m"]
+        sample_columns.append(_Labels(tuple(tag.value for tag in OUTCOME_ORDER), outcome_index))
+        sample_header.append("outcome")
     tables = [
-        ("density.csv",
-         ["x_m", "analytic_density_per_m", "hole_a_component_per_m", "hole_b_component_per_m"],
-         [density.x, density.values,
-          probs[OutcomeTag.SEEN_AT_A] * hole_a.values,
-          probs[null_tag] * hole_b.values]),
-        ("samples.csv", ["x_m", "outcome"],
-         [positions, _Labels(tuple(tag.value for tag in order), outcome_index)]),
+        ("density.csv", density_header, density_columns),
+        ("samples.csv", sample_header, sample_columns),
     ]
     return summary, tables
 
@@ -427,10 +377,8 @@ def run(config: RunConfig) -> None:
     Every check and computation finishes before the directory is created,
     so a run that fails anywhere but in the writing leaves no directory.
     """
-    if config.experiment in ("g1", "g3_early_off"):
-        summary, tables = _run_interference(config)
-    elif config.experiment in ("g2", "g3"):
-        summary, tables = _run_which_path(config)
+    if config.experiment in TWO_HOLE_EXPERIMENTS:
+        summary, tables = _run_two_hole(config)
     elif config.experiment == "shelving":
         summary, tables = _run_shelving(config)
     else:
@@ -451,15 +399,16 @@ def run(config: RunConfig) -> None:
             dark_threshold=shelving.default_dark_threshold(rates),
         )
     else:
+        geom = config.geometry()
         echo.update(
             n=config.n_electrons,
             wavelength=config.wavelength,
             hole_width=config.hole_width,
             separation=config.separation,
             distance=config.distance,
-            grid_min=-0.2,
-            grid_max=0.2,
-            grid_points=8192,
+            grid_min=geom.grid_min,
+            grid_max=geom.grid_max,
+            grid_points=geom.grid_points,
         )
 
     out = config.output_dir

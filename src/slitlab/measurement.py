@@ -6,7 +6,8 @@ hole's branch.  With only hole A lit and the full observation window
 elapsed, *not* sighting the electron is itself conclusive and collapses
 the state to the hole-B branch (a null observation); if the light went
 out before the window completed, nothing was learned and the coherent
-state survives.
+state survives.  ``sample_arrivals`` draws each electron's outcome, then
+its position from that outcome's branch.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import stats
 from .optics import (
     Hole,
     RealDensity,
@@ -24,23 +26,19 @@ from .optics import (
     TransverseAmplitude,
     default_geometry,
     single_hole_amplitude,
-    superpose,
+    superpose,  # unused here; perfbench/child.py wraps measurement.superpose by name
 )
 
 __all__ = [
-    "ConditionalState",
+    "OUTCOME_ORDER",
     "IlluminationConfig",
     "IlluminationMode",
-    "MeasurementOutcome",
     "OutcomeTag",
-    "apply_measurement",
-    "coherent_initial_state",
     "conditional_density",
     "ensemble_density",
     "outcome_probabilities",
+    "sample_arrivals",
 ]
-
-CLASSICAL_WEIGHT_TOL = 1e-9
 
 
 class IlluminationMode(enum.Enum):
@@ -55,73 +53,27 @@ class OutcomeTag(enum.Enum):
     NOT_SEEN = "not_seen"
 
 
+# The order outcomes partition a uniform draw in; sample_arrivals returns
+# indices into it.
+OUTCOME_ORDER = (OutcomeTag.SEEN_AT_A, OutcomeTag.SEEN_AT_B, OutcomeTag.NOT_SEEN)
+
+
 @dataclass(frozen=True)
 class IlluminationConfig:
-    """Where the light sits, whether the observation window completed, and
-    the sighting efficiency (1 unless explicitly overridden)."""
+    """Where the light sits and whether the observation window completed."""
 
     mode: IlluminationMode
     window_complete: bool = False
-    detection_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.detection_efficiency <= 1.0:
-            raise ValueError("detection_efficiency must lie in [0, 1]")
         if self.mode is IlluminationMode.OFF and self.window_complete:
             # No light, no window: normalize the irrelevant flag.
             object.__setattr__(self, "window_complete", False)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One electron's sighting record at the wall."""
-
-    tag: OutcomeTag
-    window_complete_at_decision: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalState:
-    """Post-measurement screen state: classical branches, optionally coherent.
-
-    ``coherent=True`` is reserved for a single branch holding a superposed
-    amplitude whose components may still interfere.  Classical weights must
-    sum to one.
-    """
-
-    branches: tuple[tuple[TransverseAmplitude, float], ...]
-    coherent: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.branches:
-            raise ValueError("state needs at least one branch")
-        total = sum(w for _, w in self.branches)
-        if abs(total - 1.0) > CLASSICAL_WEIGHT_TOL:
-            raise ValueError(f"classical branch weights sum to {total!r}, not 1")
-        if self.coherent and len(self.branches) != 1:
-            raise ValueError("a coherent state holds exactly one (superposed) branch")
-
-    @property
-    def geometry(self) -> SlitGeometry:
-        return self.branches[0][0].geometry
-
-
 @lru_cache(maxsize=None)
 def _branch_amplitudes(geom: SlitGeometry) -> tuple[TransverseAmplitude, TransverseAmplitude]:
     return single_hole_amplitude(geom, Hole.A), single_hole_amplitude(geom, Hole.B)
-
-
-@lru_cache(maxsize=None)
-def _collapsed_amplitudes(geom: SlitGeometry) -> tuple[TransverseAmplitude, TransverseAmplitude]:
-    psi_a, psi_b = _branch_amplitudes(geom)
-    return psi_a.renormalized(1.0), psi_b.renormalized(1.0)
-
-
-def coherent_initial_state(geom: SlitGeometry | None = None) -> ConditionalState:
-    """The coherent two-hole superposition an electron arrives in."""
-    geom = default_geometry() if geom is None else geom
-    psi_a, psi_b = _branch_amplitudes(geom)
-    return ConditionalState(branches=((superpose(psi_a, psi_b), 1.0),), coherent=True)
 
 
 @lru_cache(maxsize=None)
@@ -148,67 +100,59 @@ def outcome_probabilities(
     """Outcome distribution for one electron under the given illumination."""
     geom = default_geometry() if geom is None else geom
     psi_a, psi_b = _branch_amplitudes(geom)
-    eta = config.detection_efficiency
     if config.mode is IlluminationMode.OFF:
         return {OutcomeTag.SEEN_AT_A: 0.0, OutcomeTag.SEEN_AT_B: 0.0, OutcomeTag.NOT_SEEN: 1.0}
     if config.mode is IlluminationMode.BOTH_HOLES:
-        p_a = eta * psi_a.weight
-        p_b = eta * psi_b.weight
+        # Every electron is sighted at one hole or the other.
         return {
-            OutcomeTag.SEEN_AT_A: p_a,
-            OutcomeTag.SEEN_AT_B: p_b,
-            OutcomeTag.NOT_SEEN: 1.0 - p_a - p_b,
+            OutcomeTag.SEEN_AT_A: psi_a.weight,
+            OutcomeTag.SEEN_AT_B: psi_b.weight,
+            OutcomeTag.NOT_SEEN: 0.0,
         }
     # Hole A only.  With the window cut short the light never catches the
     # electron, so no sighting (positive or null) is possible.
     if not config.window_complete:
         return {OutcomeTag.SEEN_AT_A: 0.0, OutcomeTag.SEEN_AT_B: 0.0, OutcomeTag.NOT_SEEN: 1.0}
-    p_a = eta * psi_a.weight
+    p_a = psi_a.weight
     return {OutcomeTag.SEEN_AT_A: p_a, OutcomeTag.SEEN_AT_B: 0.0, OutcomeTag.NOT_SEEN: 1.0 - p_a}
 
 
-def apply_measurement(
-    initial: ConditionalState,
-    config: IlluminationConfig,
-    rng: np.random.Generator,
-) -> tuple[MeasurementOutcome, ConditionalState]:
-    """Sample one electron's sighting outcome and the state it leaves behind.
+def sample_arrivals(
+    config: IlluminationConfig, geom: SlitGeometry, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` electrons' sighting outcomes, then each one's arrival position.
 
-    The outcome is drawn from a single uniform variate partitioned by
-    cumulative branch probabilities in the fixed order seen-at-A,
-    seen-at-B, not-seen, so a seeded generator reproduces the sequence.
-    Sighting collapses the state to that hole's branch (renormalized);
-    a conclusive null sighting (hole A lit, window complete) collapses to
-    the hole-B branch; anything else leaves the coherent state untouched.
+    Returns ``(outcome_index, positions)``, the index pointing into
+    ``OUTCOME_ORDER``.  Outcomes come from one uniform variate each,
+    partitioned by cumulative probability in that order, so an outcome of
+    probability 0 is never drawn; a second batch of uniforms then places
+    each electron by inverting its outcome's conditional density.  When
+    every electron goes unseen (no light, or light cut early) the outcome
+    draw is skipped and the positions are exactly
+    ``stats.sample_positions`` of the not-seen density with the same
+    generator.
     """
-    if not initial.coherent or len(initial.branches) != 1:
-        raise ValueError("initial state must be the coherent two-hole superposition")
-    geom = initial.geometry
     probs = outcome_probabilities(config, geom)
-    collapsed_a, collapsed_b = _collapsed_amplitudes(geom)
+    not_seen = OUTCOME_ORDER.index(OutcomeTag.NOT_SEEN)
+    if probs[OutcomeTag.NOT_SEEN] == 1.0:
+        density = conditional_density(config, OutcomeTag.NOT_SEEN, geom)
+        sample = stats.sample_positions(density, n, rng)
+        return np.full(n, not_seen), sample.positions
 
-    u = float(rng.random())
-    cumulative = 0.0
-    tag = OutcomeTag.NOT_SEEN
-    for candidate in (OutcomeTag.SEEN_AT_A, OutcomeTag.SEEN_AT_B, OutcomeTag.NOT_SEEN):
-        cumulative += probs[candidate]
-        if u < cumulative:
-            tag = candidate
-            break
-
-    outcome = MeasurementOutcome(tag, window_complete_at_decision=config.window_complete)
-    if tag is OutcomeTag.SEEN_AT_A:
-        state = ConditionalState(branches=((collapsed_a, 1.0),), coherent=False)
-    elif tag is OutcomeTag.SEEN_AT_B:
-        state = ConditionalState(branches=((collapsed_b, 1.0),), coherent=False)
-    elif config.mode is IlluminationMode.HOLE_A_ONLY and config.window_complete:
-        # Null observation: the electron was conclusively not at hole A.
-        state = ConditionalState(branches=((collapsed_b, 1.0),), coherent=False)
-    else:
-        # No light, window cut short, or an inefficient detector that saw
-        # nothing: the observer learned nothing and the state is unchanged.
-        state = initial
-    return outcome, state
+    weights = [probs[tag] for tag in OUTCOME_ORDER]
+    # A draw past the last edge (rounding leaves the total a hair below 1)
+    # goes to the last possible outcome.
+    last = max(i for i, weight in enumerate(weights) if weight > 0)
+    outcome_index = np.searchsorted(np.cumsum(weights), rng.random(n), side="right")
+    outcome_index = np.minimum(outcome_index, last)
+    u_position = rng.random(n)
+    positions = np.empty(n, dtype=float)
+    for idx, tag in enumerate(OUTCOME_ORDER):
+        mask = outcome_index == idx
+        if mask.any():
+            density = conditional_density(config, tag, geom)
+            positions[mask] = stats.GriddedCdf(density).ppf(u_position[mask])
+    return outcome_index, positions
 
 
 def ensemble_density(
@@ -221,8 +165,6 @@ def ensemble_density(
     window: the incoherent sum |psi_A|^2 + |psi_B|^2 (the electron's hole
     is then known for every arrival, by sighting or by its absence).
     """
-    if config.detection_efficiency != 1.0:
-        raise ValueError("ensemble densities are defined for detection_efficiency = 1 only")
     geom = default_geometry() if geom is None else geom
     if config.mode is IlluminationMode.OFF:
         return _analytic_density(geom, "interference")
@@ -235,18 +177,11 @@ def ensemble_density(
 
 def conditional_density(
     config: IlluminationConfig,
-    outcome: MeasurementOutcome | OutcomeTag,
+    tag: OutcomeTag,
     geom: SlitGeometry | None = None,
 ) -> RealDensity:
-    """Normalized screen density of electrons with the given sighting record."""
+    """Normalized screen density of electrons with the given sighting outcome."""
     geom = default_geometry() if geom is None else geom
-    if isinstance(outcome, MeasurementOutcome):
-        if outcome.window_complete_at_decision != config.window_complete:
-            raise ValueError("outcome and configuration disagree about the window")
-        tag = outcome.tag
-    else:
-        tag = outcome
-
     mode = config.mode
     if mode is IlluminationMode.OFF:
         if tag is not OutcomeTag.NOT_SEEN:
@@ -257,7 +192,7 @@ def conditional_density(
             return _analytic_density(geom, "hole_a")
         if tag is OutcomeTag.SEEN_AT_B:
             return _analytic_density(geom, "hole_b")
-        raise ValueError("with both holes lit and unit efficiency every electron is sighted")
+        raise ValueError("with both holes lit every electron is sighted")
     # Hole A only.
     if tag is OutcomeTag.SEEN_AT_B:
         raise ValueError("hole B is unlit; an electron cannot be sighted there")

@@ -186,13 +186,6 @@ class TransverseAmplitude:
     def __setattr__(self, name, value):
         raise AttributeError("TransverseAmplitude is immutable")
 
-    def renormalized(self, weight: float = 1.0) -> "TransverseAmplitude":
-        """Rescale so the grid integral of |psi|^2 equals ``weight``."""
-        if self.weight <= 0:
-            raise ValueError("cannot renormalize a zero amplitude")
-        scale = np.sqrt(weight / self.weight)
-        return TransverseAmplitude(self.geometry, self.values * scale, weight)
-
 
 class RealDensity:
     """Nonnegative screen density on a grid (full geometry grid or a slice).
@@ -362,7 +355,7 @@ def fresnel_oracle(
     """Screen amplitude from brute-force quadrature of the diffraction integral.
 
     Independent of the closed forms: no far-field approximation is made on
-    the aperture side.  Each open hole's field is renormalized on the grid
+    the aperture side.  Each open hole's field is rescaled on the grid
     to the aperture-area branch weight w_h/(w_A + w_B) (the same finite-grid
     convention the closed forms use) and the open holes are summed.
 

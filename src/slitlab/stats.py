@@ -10,15 +10,11 @@ same convention as the sampler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import stats as sps
 
 from .optics import RealDensity, SlitGeometry
-
-if TYPE_CHECKING:
-    from .measurement import IlluminationConfig
 
 __all__ = [
     "ChiSquareResult",
@@ -32,10 +28,13 @@ __all__ = [
     "histogram",
     "ks_exponential",
     "sample_positions",
+    "windowed_chi2",
 ]
 
 NORMALIZATION_TOL = 1e-9
 MIN_EXPECTED_PER_BIN = 5.0
+# Bin counts windowed_chi2 tries, finest first.
+CHI2_BIN_LADDER = (96, 64, 48, 32, 24, 16, 12, 8)
 
 
 class GriddedCdf:
@@ -67,12 +66,10 @@ class GriddedCdf:
 
 @dataclass(frozen=True, eq=False)
 class PositionSample:
-    """Backstop arrival positions plus provenance (illumination and seed)."""
+    """Backstop arrival positions on a geometry's grid."""
 
     positions: np.ndarray
     geometry: SlitGeometry
-    source_config: "IlluminationConfig | None" = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
@@ -123,13 +120,7 @@ class KsResult:
     p_value: float
 
 
-def sample_positions(
-    density: RealDensity,
-    n: int,
-    rng: np.random.Generator,
-    source_config: "IlluminationConfig | None" = None,
-    seed: int | None = None,
-) -> PositionSample:
+def sample_positions(density: RealDensity, n: int, rng: np.random.Generator) -> PositionSample:
     """Draw ``n`` independent arrival positions from a unit-total density."""
     if abs(density.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"density is not normalized: total = {density.total!r}")
@@ -138,15 +129,13 @@ def sample_positions(
     cdf = GriddedCdf(density)
     u = rng.random(n)
     positions = cdf.ppf(u)
-    return PositionSample(positions, density.geometry, source_config, seed)
+    return PositionSample(positions, density.geometry)
 
 
 def filter_positions(sample: PositionSample, lo: float, hi: float) -> PositionSample:
     """Keep only positions inside [lo, hi] (an explicit conditioning step)."""
     mask = (sample.positions >= lo) & (sample.positions <= hi)
-    return PositionSample(
-        sample.positions[mask], sample.geometry, sample.source_config, sample.seed
-    )
+    return PositionSample(sample.positions[mask], sample.geometry)
 
 
 def histogram(sample: PositionSample, n_bins: int, range_: tuple[float, float]) -> Histogram:
@@ -205,6 +194,32 @@ def chi_square_gof(h: Histogram, expected: RealDensity) -> ChiSquareResult:
     dof = observed.size - 1
     p_value = float(sps.chi2.sf(statistic, dof))
     return ChiSquareResult(statistic, dof, p_value)
+
+
+def windowed_chi2(
+    positions: np.ndarray, density: RealDensity, half_periods: int
+) -> tuple[ChiSquareResult | None, int | None]:
+    """Chi-square of arrivals against a density over the central fringes.
+
+    Conditions both on the window of +-``half_periods`` fringe periods and
+    bins it with the finest count on ``CHI2_BIN_LADDER`` that, after edge
+    pooling, leaves at least two bins each expecting >= 5 counts.  Returns
+    the fit and that bin count, or ``(None, None)`` when no count on the
+    ladder qualifies (too few arrivals in the window for the test).
+    """
+    geom = density.geometry
+    half = half_periods * geom.fringe_period
+    windowed = density.restrict(-half, half)
+    lo, hi = windowed.x[0], windowed.x[-1]
+    conditioned = filter_positions(PositionSample(positions, geom), lo, hi)
+    cdf = GriddedCdf(windowed)
+    for n_bins in CHI2_BIN_LADDER:
+        expected = cdf.interval_masses(np.linspace(lo, hi, n_bins + 1)) * len(conditioned)
+        _, pooled = _merge_edges_inward(np.zeros(n_bins), expected)
+        if pooled.size > 1 and np.all(pooled >= MIN_EXPECTED_PER_BIN):
+            hist = histogram(conditioned, n_bins, (lo, hi))
+            return chi_square_gof(hist, windowed), n_bins
+    return None, None
 
 
 def ks_exponential(durations, rate: float) -> KsResult:

@@ -10,12 +10,14 @@ import numpy as np
 
 from slitlab.cli import main as cli_main
 from slitlab.measurement import (
+    OUTCOME_ORDER,
     IlluminationConfig,
     IlluminationMode,
     OutcomeTag,
     conditional_density,
     ensemble_density,
     outcome_probabilities,
+    sample_arrivals,
 )
 from slitlab.optics import (
     Hole,
@@ -37,14 +39,11 @@ from slitlab.shelving import (
     simulate_trajectory,
 )
 from slitlab.stats import (
-    GriddedCdf,
     PositionSample,
-    chi_square_gof,
-    filter_positions,
     fringe_visibility_from_positions,
-    histogram,
     ks_exponential,
     sample_positions,
+    windowed_chi2,
 )
 
 GEOM = default_geometry()
@@ -56,7 +55,7 @@ BOTH = IlluminationConfig(IlluminationMode.BOTH_HOLES, window_complete=True)
 A_COMPLETE = IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=True)
 A_EARLY_OFF = IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=False)
 
-OUTCOME_ORDER = (OutcomeTag.SEEN_AT_A, OutcomeTag.SEEN_AT_B, OutcomeTag.NOT_SEEN)
+CHI2_HALF_PERIODS = 6
 
 
 def verdict(number, title, ok, detail):
@@ -65,32 +64,15 @@ def verdict(number, title, ok, detail):
     assert ok, f"criterion {number} ({title}): {detail}"
 
 
-def conditioned_chi2(positions, density, n_bins=96, half_periods=6):
-    """Chi-square of positions against a density over the central window."""
-    half = half_periods * GEOM.fringe_period
-    windowed = density.restrict(-half, half)
-    lo, hi = windowed.x[0], windowed.x[-1]
-    sample = PositionSample(positions, GEOM)
-    conditioned = filter_positions(sample, lo, hi)
-    hist = histogram(conditioned, n_bins, (lo, hi))
-    return chi_square_gof(hist, windowed)
+def chi2_p(positions, density):
+    """Chi-square p-value of positions against a density over the central window."""
+    result, _ = windowed_chi2(positions, density, CHI2_HALF_PERIODS)
+    return result.p_value
 
 
-def sample_by_outcome(config, n, seed):
-    """Outcome per electron, then a position from that electron's branch."""
-    probs = outcome_probabilities(config, GEOM)
-    edges = np.cumsum([probs[tag] for tag in OUTCOME_ORDER])
-    rng = np.random.default_rng(seed)
-    index = np.searchsorted(edges, rng.random(n), side="right")
-    index = np.minimum(index, len(OUTCOME_ORDER) - 1)
-    u = rng.random(n)
-    positions = np.empty(n)
-    for i, tag in enumerate(OUTCOME_ORDER):
-        mask = index == i
-        if mask.any():
-            density = conditional_density(config, tag, GEOM)
-            positions[mask] = GriddedCdf(density).ppf(u[mask])
-    return index, positions
+def arrivals(config):
+    """Outcome index and arrival position of every electron at the suite's seed."""
+    return sample_arrivals(config, GEOM, N_ELECTRONS, np.random.default_rng(SEED))
 
 
 def test_criterion_1_interference():
@@ -98,8 +80,8 @@ def test_criterion_1_interference():
     rng = np.random.default_rng(SEED)
     sample = sample_positions(density, N_ELECTRONS, rng)
     vis = fringe_visibility_from_positions(sample)
-    p_fit = conditioned_chi2(sample.positions, density).p_value
-    p_wrong = conditioned_chi2(sample.positions, ensemble_density(BOTH, GEOM)).p_value
+    p_fit = chi2_p(sample.positions, density)
+    p_wrong = chi2_p(sample.positions, ensemble_density(BOTH, GEOM))
     ok = vis >= 0.90 and p_fit >= 0.01 and p_wrong < 1e-6
     verdict(
         1,
@@ -112,15 +94,13 @@ def test_criterion_1_interference():
 
 def test_criterion_2_which_path_destruction():
     density = ensemble_density(BOTH, GEOM)
-    index, positions = sample_by_outcome(BOTH, N_ELECTRONS, SEED)
+    index, positions = arrivals(BOTH)
     vis = fringe_visibility_from_positions(PositionSample(positions, GEOM))
-    p_ensemble = conditioned_chi2(positions, density).p_value
-    p_a = conditioned_chi2(
-        positions[index == 0], conditional_density(BOTH, OutcomeTag.SEEN_AT_A, GEOM)
-    ).p_value
-    p_b = conditioned_chi2(
-        positions[index == 1], conditional_density(BOTH, OutcomeTag.SEEN_AT_B, GEOM)
-    ).p_value
+    p_ensemble = chi2_p(positions, density)
+    p_a, p_b = (
+        chi2_p(positions[index == OUTCOME_ORDER.index(tag)], conditional_density(BOTH, tag, GEOM))
+        for tag in (OutcomeTag.SEEN_AT_A, OutcomeTag.SEEN_AT_B)
+    )
     ok = vis <= 0.05 and p_ensemble >= 0.01 and p_a >= 0.01 and p_b >= 0.01
     verdict(
         2,
@@ -135,8 +115,8 @@ def test_criterion_3_one_hole_illumination_equivalence():
     both = ensemble_density(BOTH, GEOM)
     one = ensemble_density(A_COMPLETE, GEOM)
     deviation = float(np.max(np.abs(both.values - one.values)))
-    _, positions = sample_by_outcome(A_COMPLETE, N_ELECTRONS, SEED)
-    p_fit = conditioned_chi2(positions, one).p_value
+    _, positions = arrivals(A_COMPLETE)
+    p_fit = chi2_p(positions, one)
     ok = deviation <= 1e-12 and p_fit >= 0.01
     verdict(
         3,
@@ -147,15 +127,13 @@ def test_criterion_3_one_hole_illumination_equivalence():
 
 
 def test_criterion_4_negative_observation_collapse():
-    index, positions = sample_by_outcome(A_COMPLETE, N_ELECTRONS, SEED)
-    not_seen = positions[index == 2]
-    seen = positions[index == 0]
-    p_fit = conditioned_chi2(
-        not_seen, conditional_density(A_COMPLETE, OutcomeTag.NOT_SEEN, GEOM)
-    ).p_value
+    index, positions = arrivals(A_COMPLETE)
+    not_seen = positions[index == OUTCOME_ORDER.index(OutcomeTag.NOT_SEEN)]
+    seen = positions[index == OUTCOME_ORDER.index(OutcomeTag.SEEN_AT_A)]
+    p_fit = chi2_p(not_seen, conditional_density(A_COMPLETE, OutcomeTag.NOT_SEEN, GEOM))
 
     # mirror comparison against the sighted branch, bin by bin
-    half = 6 * GEOM.fringe_period
+    half = CHI2_HALF_PERIODS * GEOM.fringe_period
     edges = np.linspace(-half, half, 49)
     null_counts, _ = np.histogram(not_seen, bins=edges)
     seen_counts, _ = np.histogram(seen, bins=edges)

@@ -14,6 +14,7 @@ from slitlab.stats import (
     histogram,
     ks_exponential,
     sample_positions,
+    windowed_chi2,
 )
 
 GEOM = default_geometry()
@@ -200,6 +201,35 @@ class TestChiSquare:
         result = chi_square_gof(hist, dens)
         assert result.dof < 29
         assert result.p_value > 1e-6
+
+
+class TestWindowedChi2:
+    def test_ample_sample_uses_the_finest_bins(self):
+        sample = sample_positions(OFF_DENSITY, 100_000, np.random.default_rng(15))
+        result, n_bins = windowed_chi2(sample.positions, OFF_DENSITY, 6)
+        assert n_bins == 96
+        half = 6 * GEOM.fringe_period
+        windowed = OFF_DENSITY.restrict(-half, half)
+        lo, hi = windowed.x[0], windowed.x[-1]
+        hist = histogram(filter_positions(sample, lo, hi), 96, (lo, hi))
+        assert result == chi_square_gof(hist, windowed)
+
+    def test_small_sample_steps_down_the_ladder(self):
+        # 300 arrivals starve 96 fringe bins (see the interior-starvation test).
+        sample = sample_positions(OFF_DENSITY, 300, np.random.default_rng(11))
+        result, n_bins = windowed_chi2(sample.positions, OFF_DENSITY, 6)
+        assert 8 <= n_bins < 96
+        assert result.dof >= 1
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_too_few_arrivals_give_no_fit(self, n):
+        # Ten arrivals can still pool into one bin expecting >= 5; a one-bin
+        # table has no degrees of freedom, so it is not a fit either.
+        sample = sample_positions(OFF_DENSITY, n, np.random.default_rng(16))
+        assert windowed_chi2(sample.positions, OFF_DENSITY, 6) == (None, None)
+
+    def test_no_arrivals_give_no_fit(self):
+        assert windowed_chi2(np.array([]), OFF_DENSITY, 6) == (None, None)
 
 
 class TestKsExponential:
