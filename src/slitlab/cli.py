@@ -40,12 +40,10 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 # Analysis windows, in fringe periods per side: visibility of the analytic
-# density uses the minimum legal window; the chi-square fit conditions on a
-# wider central stretch where every fringe-minimum bin still expects >= 5
-# counts at the default sample size.
+# density uses the minimum legal window; the chi-square window is
+# stats.CHI2_HALF_PERIODS.
 VISIBILITY_HALF_PERIODS = 1
 SAMPLED_VISIBILITY_HALF_PERIODS = 3
-CHI2_HALF_PERIODS = 6
 
 # CSV rows are formatted and written this many at a time, so the writer's
 # memory depends on the block, not on the length of the record.
@@ -278,12 +276,13 @@ def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
     )
 
     period = geom.fringe_period
-    visibility_sampled = None
-    if np.any(np.abs(positions) <= SAMPLED_VISIBILITY_HALF_PERIODS * period):
+    try:
         visibility_sampled = stats.fringe_visibility_from_positions(
             stats.PositionSample(positions, geom), SAMPLED_VISIBILITY_HALF_PERIODS
         )
-    chi2, n_bins = stats.windowed_chi2(positions, density, CHI2_HALF_PERIODS)
+    except ValueError:  # no arrival in the central window
+        visibility_sampled = None
+    chi2, n_bins = stats.windowed_chi2(positions, density)
     summary = {
         "experiment": config.experiment,
         "n_electrons": config.n_electrons,
@@ -299,7 +298,7 @@ def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
         summary[f"frac_{tag.value}"] = float(mask.mean())
         if informative and probs[tag] > 0:
             conditional = measurement.conditional_density(illumination, tag, geom)
-            branch_chi2, _ = stats.windowed_chi2(positions[mask], conditional, CHI2_HALF_PERIODS)
+            branch_chi2, _ = stats.windowed_chi2(positions[mask], conditional)
             summary[f"chi2_p_value_{tag.value}"] = (
                 None if branch_chi2 is None else branch_chi2.p_value
             )

@@ -33,7 +33,10 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-9
 MIN_EXPECTED_PER_BIN = 5.0
-# Bin counts windowed_chi2 tries, finest first.
+# windowed_chi2 conditions on +-CHI2_HALF_PERIODS fringe periods, a central
+# stretch where every fringe-minimum bin still expects >= 5 counts at the
+# default sample size, and tries these bin counts, finest first.
+CHI2_HALF_PERIODS = 6
 CHI2_BIN_LADDER = (96, 64, 48, 32, 24, 16, 12, 8)
 
 
@@ -197,18 +200,18 @@ def chi_square_gof(h: Histogram, expected: RealDensity) -> ChiSquareResult:
 
 
 def windowed_chi2(
-    positions: np.ndarray, density: RealDensity, half_periods: int
+    positions: np.ndarray, density: RealDensity
 ) -> tuple[ChiSquareResult | None, int | None]:
     """Chi-square of arrivals against a density over the central fringes.
 
-    Conditions both on the window of +-``half_periods`` fringe periods and
+    Conditions both on the window of +-``CHI2_HALF_PERIODS`` fringe periods and
     bins it with the finest count on ``CHI2_BIN_LADDER`` that, after edge
     pooling, leaves at least two bins each expecting >= 5 counts.  Returns
     the fit and that bin count, or ``(None, None)`` when no count on the
     ladder qualifies (too few arrivals in the window for the test).
     """
     geom = density.geometry
-    half = half_periods * geom.fringe_period
+    half = CHI2_HALF_PERIODS * geom.fringe_period
     windowed = density.restrict(-half, half)
     lo, hi = windowed.x[0], windowed.x[-1]
     conditioned = filter_positions(PositionSample(positions, geom), lo, hi)

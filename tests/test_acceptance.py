@@ -39,12 +39,14 @@ from slitlab.shelving import (
     simulate_trajectory,
 )
 from slitlab.stats import (
+    CHI2_HALF_PERIODS,
     PositionSample,
     fringe_visibility_from_positions,
     ks_exponential,
     sample_positions,
     windowed_chi2,
 )
+from test_optics import random_far_field_geometry
 
 GEOM = default_geometry()
 N_ELECTRONS = 100_000
@@ -55,8 +57,6 @@ BOTH = IlluminationConfig(IlluminationMode.BOTH_HOLES, window_complete=True)
 A_COMPLETE = IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=True)
 A_EARLY_OFF = IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=False)
 
-CHI2_HALF_PERIODS = 6
-
 
 def verdict(number, title, ok, detail):
     stream = sys.__stdout__ or sys.stdout
@@ -66,7 +66,7 @@ def verdict(number, title, ok, detail):
 
 def chi2_p(positions, density):
     """Chi-square p-value of positions against a density over the central window."""
-    result, _ = windowed_chi2(positions, density, CHI2_HALF_PERIODS)
+    result, _ = windowed_chi2(positions, density)
     return result.p_value
 
 
@@ -167,19 +167,6 @@ def test_criterion_5_early_light_off_restoration():
         ok,
         f"max pointwise deviation {deviation:.2e} <= 1e-12; sampled visibility {vis:.3f} >= 0.90",
     )
-
-
-def random_far_field_geometry(rng):
-    lam = rng.uniform(20e-9, 100e-9)
-    dist = rng.uniform(0.5, 2.0)
-    lam_l = lam * dist
-    w_a = rng.uniform(0.2e-6, 1.0e-6)
-    w_b = rng.uniform(0.2e-6, 1.0e-6)
-    s_lo = 3.0 * (w_a + w_b)
-    s_hi = min(20.0 * (w_a + w_b), 5e-4 * lam_l / max(w_a, w_b))
-    s = s_lo if s_hi <= s_lo else rng.uniform(s_lo, s_hi)
-    span = 12.0 * lam_l / s
-    return SlitGeometry(s, w_a, w_b, dist, lam, -span / 2, span / 2, 2048)
 
 
 def test_criterion_6_oracle_equivalence():

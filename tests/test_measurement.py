@@ -22,6 +22,7 @@ from slitlab.optics import (
     visibility,
 )
 from slitlab.stats import sample_positions, windowed_chi2
+from test_optics import random_far_field_geometry
 
 GEOM = default_geometry()
 
@@ -34,7 +35,7 @@ SEEN_AT_A, SEEN_AT_B, NOT_SEEN = (OUTCOME_ORDER.index(tag) for tag in OutcomeTag
 
 
 def chi2_p(positions, config, tag):
-    result, _ = windowed_chi2(positions, conditional_density(config, tag, GEOM), 6)
+    result, _ = windowed_chi2(positions, conditional_density(config, tag, GEOM))
     return result.p_value
 
 
@@ -47,11 +48,18 @@ class TestConfigAndState:
 class TestApplyMeasurement:
     """The measurement applied to a batch of electrons: ``sample_arrivals``."""
 
-    def test_light_off_changes_nothing(self):
-        index, positions = sample_arrivals(OFF, GEOM, 5000, np.random.default_rng(0))
+    @staticmethod
+    def assert_unseen_and_unchanged(config, seed):
+        # No outcome draw at all: the same generator stream as plain sampling.
+        index, positions = sample_arrivals(config, GEOM, 5000, np.random.default_rng(seed))
         assert np.all(index == NOT_SEEN)
-        expected = sample_positions(ensemble_density(OFF, GEOM), 5000, np.random.default_rng(0))
+        expected = sample_positions(
+            ensemble_density(config, GEOM), 5000, np.random.default_rng(seed)
+        )
         assert positions.tobytes() == expected.positions.tobytes()
+
+    def test_light_off_changes_nothing(self):
+        self.assert_unseen_and_unchanged(OFF, 0)
 
     def test_sighting_frequency_matches_branch_weight(self):
         # Symmetric holes, hole A lit, complete window: half are sighted.
@@ -95,13 +103,7 @@ class TestApplyMeasurement:
         assert chi2_p(null, OFF, OutcomeTag.NOT_SEEN) < 1e-6
 
     def test_early_light_off_preserves_coherence(self):
-        # No outcome draw at all: the same generator stream as plain sampling.
-        index, positions = sample_arrivals(A_EARLY_OFF, GEOM, 5000, np.random.default_rng(7))
-        assert np.all(index == NOT_SEEN)
-        expected = sample_positions(
-            ensemble_density(A_EARLY_OFF, GEOM), 5000, np.random.default_rng(7)
-        )
-        assert positions.tobytes() == expected.positions.tobytes()
+        self.assert_unseen_and_unchanged(A_EARLY_OFF, 7)
 
     def test_seeded_outcome_sequence_is_reproducible(self):
         def draw():
@@ -212,31 +214,17 @@ class TestSampledVersusAnalytic:
                     continue
                 pile = positions[index == OUTCOME_ORDER.index(tag)]
                 assert pile.size > 0, (config.mode, tag)
-                result, n_bins = windowed_chi2(pile, conditional_density(config, tag, GEOM), 6)
+                result, n_bins = windowed_chi2(pile, conditional_density(config, tag, GEOM))
                 assert result.p_value >= 0.01, (config.mode, tag, n_bins, result)
-
-
-@st.composite
-def far_field_geometries(draw):
-    """Geometries within the bounds of the acceptance suite's random far-field draw."""
-    lam = draw(st.floats(20e-9, 100e-9))
-    dist = draw(st.floats(0.5, 2.0))
-    w_a = draw(st.floats(0.2e-6, 1.0e-6))
-    w_b = draw(st.floats(0.2e-6, 1.0e-6))
-    lam_l = lam * dist
-    s_lo = 3.0 * (w_a + w_b)
-    s_hi = min(20.0 * (w_a + w_b), 5e-4 * lam_l / max(w_a, w_b))
-    s = s_lo if s_hi <= s_lo else s_lo + draw(st.floats(0.0, 1.0)) * (s_hi - s_lo)
-    span = 12.0 * lam_l / s
-    return SlitGeometry(s, w_a, w_b, dist, lam, -span / 2, span / 2, 2048)
 
 
 class TestMeasurementProperties:
     CONFIGS = (OFF, BOTH, A_COMPLETE, A_EARLY_OFF)
 
     @settings(max_examples=15, derandomize=True, deadline=None)
-    @given(geom=far_field_geometries())
-    def test_probabilities_and_mixture_rebuild_the_ensemble(self, geom):
+    @given(geom_seed=st.integers(0, 2**32 - 1))
+    def test_probabilities_and_mixture_rebuild_the_ensemble(self, geom_seed):
+        geom = random_far_field_geometry(np.random.default_rng(geom_seed))
         for config in self.CONFIGS:
             probs = outcome_probabilities(config, geom)
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -248,8 +236,9 @@ class TestMeasurementProperties:
             assert np.max(np.abs(mixture - ens.values)) <= 1e-9
 
     @settings(max_examples=15, derandomize=True, deadline=None)
-    @given(geom=far_field_geometries(), seed=st.integers(0, 2**32 - 1))
-    def test_no_outcome_of_probability_zero_is_drawn(self, geom, seed):
+    @given(geom_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    def test_no_outcome_of_probability_zero_is_drawn(self, geom_seed, seed):
+        geom = random_far_field_geometry(np.random.default_rng(geom_seed))
         for config in self.CONFIGS:
             probs = outcome_probabilities(config, geom)
             index, positions = sample_arrivals(config, geom, 2000, np.random.default_rng(seed))

@@ -6,6 +6,7 @@ import pytest
 from slitlab.measurement import IlluminationConfig, IlluminationMode, ensemble_density
 from slitlab.optics import RealDensity, SlitGeometry, default_geometry
 from slitlab.stats import (
+    CHI2_HALF_PERIODS,
     GriddedCdf,
     PositionSample,
     chi_square_gof,
@@ -206,9 +207,9 @@ class TestChiSquare:
 class TestWindowedChi2:
     def test_ample_sample_uses_the_finest_bins(self):
         sample = sample_positions(OFF_DENSITY, 100_000, np.random.default_rng(15))
-        result, n_bins = windowed_chi2(sample.positions, OFF_DENSITY, 6)
+        result, n_bins = windowed_chi2(sample.positions, OFF_DENSITY)
         assert n_bins == 96
-        half = 6 * GEOM.fringe_period
+        half = CHI2_HALF_PERIODS * GEOM.fringe_period
         windowed = OFF_DENSITY.restrict(-half, half)
         lo, hi = windowed.x[0], windowed.x[-1]
         hist = histogram(filter_positions(sample, lo, hi), 96, (lo, hi))
@@ -217,7 +218,7 @@ class TestWindowedChi2:
     def test_small_sample_steps_down_the_ladder(self):
         # 300 arrivals starve 96 fringe bins (see the interior-starvation test).
         sample = sample_positions(OFF_DENSITY, 300, np.random.default_rng(11))
-        result, n_bins = windowed_chi2(sample.positions, OFF_DENSITY, 6)
+        result, n_bins = windowed_chi2(sample.positions, OFF_DENSITY)
         assert 8 <= n_bins < 96
         assert result.dof >= 1
 
@@ -226,10 +227,10 @@ class TestWindowedChi2:
         # Ten arrivals can still pool into one bin expecting >= 5; a one-bin
         # table has no degrees of freedom, so it is not a fit either.
         sample = sample_positions(OFF_DENSITY, n, np.random.default_rng(16))
-        assert windowed_chi2(sample.positions, OFF_DENSITY, 6) == (None, None)
+        assert windowed_chi2(sample.positions, OFF_DENSITY) == (None, None)
 
     def test_no_arrivals_give_no_fit(self):
-        assert windowed_chi2(np.array([]), OFF_DENSITY, 6) == (None, None)
+        assert windowed_chi2(np.array([]), OFF_DENSITY) == (None, None)
 
 
 class TestKsExponential:
