@@ -27,11 +27,18 @@ import numpy as np
 
 from . import measurement, shelving, stats
 from .optics import QuadratureConvergenceError, SlitGeometry, default_geometry, visibility
-from .measurement import OUTCOME_ORDER, IlluminationConfig, IlluminationMode, OutcomeTag
+from .measurement import OUTCOME_ORDER, Illumination, OutcomeTag
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_args", "run"]
 
-TWO_HOLE_EXPERIMENTS = ("g1", "g2", "g3", "g3_early_off")
+# The two-hole experiments and the illumination regime each runs under.
+_ILLUMINATION = {
+    "g1": Illumination.OFF,
+    "g2": Illumination.BOTH_HOLES,
+    "g3": Illumination.HOLE_A,
+    "g3_early_off": Illumination.HOLE_A_EARLY_OFF,
+}
+TWO_HOLE_EXPERIMENTS = tuple(_ILLUMINATION)
 EXPERIMENTS = TWO_HOLE_EXPERIMENTS + ("shelving",)
 
 EXIT_OK = 0
@@ -39,17 +46,16 @@ EXIT_BAD_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-# Analysis windows, in fringe periods per side: visibility of the analytic
-# density uses the minimum legal window; the chi-square window is
-# stats.CHI2_HALF_PERIODS.
+# Visibility of the analytic density is read over the minimum legal window,
+# in fringe periods per side; the windows of the sampled statistics are
+# stats.VISIBILITY_HALF_PERIODS and stats.CHI2_HALF_PERIODS.
 VISIBILITY_HALF_PERIODS = 1
-SAMPLED_VISIBILITY_HALF_PERIODS = 3
 
 # CSV rows are formatted and written this many at a time, so the writer's
 # memory depends on the block, not on the length of the record.
 CSV_BLOCK_ROWS = 65_536
 
-# Float parameters and the flags that set them; NaN and inf are rejected.
+# Float parameters and the flags that set them; each must be finite and positive.
 _FLOAT_FLAGS = {
     "total_time": "--total-time",
     "wavelength": "--wavelength",
@@ -143,8 +149,32 @@ _FILE_KEYS = {
 }
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    """Join each float flag and a following value that starts with "-".
+
+    argparse reads a token such as -1e-3 or -inf as an option, not as the
+    flag's value; joined as ``--flag=value`` it reaches the checks below.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] in _FLOAT_FLAGS.values()
+                and token.startswith("-") and _is_float(token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def parse_args(argv: list[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser().parse_args(_attach_float_values(argv))
     file_values: dict[str, object] = {}
     if ns.config:
         for key, raw in _read_config_file(ns.config).items():
@@ -180,10 +210,12 @@ def parse_args(argv: list[str]) -> RunConfig:
         value = getattr(config, attr)
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value!r}")
+        if value <= 0:
+            raise ConfigError(f"{flag} must be positive, got {value!r}")
     if config.n_electrons < 1:
         raise ConfigError("--n must be at least 1")
-    if config.total_time <= 0:
-        raise ConfigError("--total-time must be positive")
+    if config.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {config.seed}")
     return config
 
 
@@ -245,28 +277,20 @@ def _write_config_echo(path: Path, entries: dict) -> None:
     path.write_text("\n".join(lines) + "\n", newline="")
 
 
-def _illumination(experiment: str) -> IlluminationConfig:
-    if experiment == "g1":
-        return IlluminationConfig(IlluminationMode.OFF)
-    if experiment == "g2":
-        return IlluminationConfig(IlluminationMode.BOTH_HOLES, window_complete=True)
-    if experiment == "g3":
-        return IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=True)
-    return IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=False)
-
-
 def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
     """g1, g2, g3 and g3_early_off: a sighting outcome per electron, then its position.
 
     The outcome is informative unless every electron goes unseen (g1,
     g3_early_off).  Only an informative outcome adds the outcome column,
-    the two per-hole density columns and the per-outcome chi-square
-    p-values.  Chi-square fields are null when too few arrivals fall in
-    the window for the test, and the sampled visibility is null when none
-    falls in its window.
+    the per-outcome chi-square p-values and, for each outcome that can
+    occur, a density column of its probability times its branch density:
+    hole A's branch, then hole B's (reached by a sighting in g2, by a null
+    observation in g3).  Chi-square fields are null when too few arrivals
+    fall in the window for the test, and the sampled visibility is null
+    when none falls in its window.
     """
     geom = config.geometry()
-    illumination = _illumination(config.experiment)
+    illumination = _ILLUMINATION[config.experiment]
     density = measurement.ensemble_density(illumination, geom)
     probs = measurement.outcome_probabilities(illumination, geom)
     informative = probs[OutcomeTag.NOT_SEEN] < 1.0
@@ -278,7 +302,7 @@ def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
     period = geom.fringe_period
     try:
         visibility_sampled = stats.fringe_visibility_from_positions(
-            stats.PositionSample(positions, geom), SAMPLED_VISIBILITY_HALF_PERIODS
+            stats.PositionSample(positions, geom)
         )
     except ValueError:  # no arrival in the central window
         visibility_sampled = None
@@ -293,6 +317,8 @@ def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
     }
     for field in ("statistic", "dof", "p_value"):
         summary[f"chi2_{field}"] = None if chi2 is None else getattr(chi2, field)
+    density_columns = [density.x, density.values]
+    density_header = ["x_m", "analytic_density_per_m"]
     for idx, tag in enumerate(OUTCOME_ORDER):
         mask = outcome_index == idx
         summary[f"frac_{tag.value}"] = float(mask.mean())
@@ -302,17 +328,11 @@ def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
             summary[f"chi2_p_value_{tag.value}"] = (
                 None if branch_chi2 is None else branch_chi2.p_value
             )
+            density_columns.append(probs[tag] * conditional.values)
 
-    density_columns = [density.x, density.values]
-    density_header = ["x_m", "analytic_density_per_m"]
     sample_columns = [positions]
     sample_header = ["x_m"]
     if informative:
-        # Hole B's branch is reached by a sighting there (g2) or by a null one (g3).
-        b_tag = OutcomeTag.SEEN_AT_B if probs[OutcomeTag.SEEN_AT_B] > 0 else OutcomeTag.NOT_SEEN
-        for tag in (OutcomeTag.SEEN_AT_A, b_tag):
-            conditional = measurement.conditional_density(illumination, tag, geom)
-            density_columns.append(probs[tag] * conditional.values)
         density_header += ["hole_a_component_per_m", "hole_b_component_per_m"]
         sample_columns.append(_Labels(tuple(tag.value for tag in OUTCOME_ORDER), outcome_index))
         sample_header.append("outcome")

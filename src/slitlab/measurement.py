@@ -1,19 +1,18 @@
 """Illumination regimes at the wall and their effect on the screen state.
 
-Three regimes: no light, light at both holes, light at hole A only.
+Four regimes: no light, light at both holes, light at hole A for the full
+observation window, and light at hole A cut before the window completes.
 Sighting an electron collapses the coherent two-hole state to the seen
-hole's branch.  With only hole A lit and the full observation window
-elapsed, *not* sighting the electron is itself conclusive and collapses
-the state to the hole-B branch (a null observation); if the light went
-out before the window completed, nothing was learned and the coherent
-state survives.  ``sample_arrivals`` draws each electron's outcome, then
-its position from that outcome's branch.
+hole's branch.  With only hole A lit for the full window, *not* sighting
+the electron is itself conclusive and collapses the state to the hole-B
+branch (a null observation); if the light went out early, nothing was
+learned and the coherent state survives.  ``sample_arrivals`` draws each
+electron's outcome, then its position from that outcome's branch.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,15 +23,13 @@ from .optics import (
     RealDensity,
     SlitGeometry,
     TransverseAmplitude,
-    default_geometry,
     single_hole_amplitude,
     superpose,  # unused here; perfbench/child.py wraps measurement.superpose by name
 )
 
 __all__ = [
     "OUTCOME_ORDER",
-    "IlluminationConfig",
-    "IlluminationMode",
+    "Illumination",
     "OutcomeTag",
     "conditional_density",
     "ensemble_density",
@@ -41,10 +38,13 @@ __all__ = [
 ]
 
 
-class IlluminationMode(enum.Enum):
+class Illumination(enum.Enum):
+    """What the light at the wall lets the observer learn about each electron."""
+
     OFF = "off"
     BOTH_HOLES = "both_holes"
-    HOLE_A_ONLY = "hole_a_only"
+    HOLE_A = "hole_a"
+    HOLE_A_EARLY_OFF = "hole_a_early_off"
 
 
 class OutcomeTag(enum.Enum):
@@ -57,18 +57,19 @@ class OutcomeTag(enum.Enum):
 # indices into it.
 OUTCOME_ORDER = (OutcomeTag.SEEN_AT_A, OutcomeTag.SEEN_AT_B, OutcomeTag.NOT_SEEN)
 
-
-@dataclass(frozen=True)
-class IlluminationConfig:
-    """Where the light sits and whether the observation window completed."""
-
-    mode: IlluminationMode
-    window_complete: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode is IlluminationMode.OFF and self.window_complete:
-            # No light, no window: normalize the irrelevant flag.
-            object.__setattr__(self, "window_complete", False)
+# Per regime: the ensemble density, and the branch density of each outcome
+# that can occur.  An outcome missing from a regime has probability 0 there.
+# The electron's hole is known for every arrival exactly when the ensemble is
+# the incoherent sum; with hole A lit for the full window, the null outcome
+# is what reveals hole B.
+_REGIMES: dict[Illumination, tuple[str, dict[OutcomeTag, str]]] = {
+    Illumination.OFF: ("interference", {OutcomeTag.NOT_SEEN: "interference"}),
+    Illumination.BOTH_HOLES: ("incoherent", {OutcomeTag.SEEN_AT_A: "hole_a",
+                                             OutcomeTag.SEEN_AT_B: "hole_b"}),
+    Illumination.HOLE_A: ("incoherent", {OutcomeTag.SEEN_AT_A: "hole_a",
+                                         OutcomeTag.NOT_SEEN: "hole_b"}),
+    Illumination.HOLE_A_EARLY_OFF: ("interference", {OutcomeTag.NOT_SEEN: "interference"}),
+}
 
 
 @lru_cache(maxsize=None)
@@ -95,30 +96,25 @@ def _analytic_density(geom: SlitGeometry, kind: str) -> RealDensity:
 
 
 def outcome_probabilities(
-    config: IlluminationConfig, geom: SlitGeometry | None = None
+    illumination: Illumination, geom: SlitGeometry
 ) -> dict[OutcomeTag, float]:
-    """Outcome distribution for one electron under the given illumination."""
-    geom = default_geometry() if geom is None else geom
+    """Outcome distribution for one electron under the given illumination.
+
+    A sighting at a hole has that hole's branch weight; the null outcome
+    takes what the possible sightings leave.
+    """
+    branches = _REGIMES[illumination][1]
     psi_a, psi_b = _branch_amplitudes(geom)
-    if config.mode is IlluminationMode.OFF:
-        return {OutcomeTag.SEEN_AT_A: 0.0, OutcomeTag.SEEN_AT_B: 0.0, OutcomeTag.NOT_SEEN: 1.0}
-    if config.mode is IlluminationMode.BOTH_HOLES:
-        # Every electron is sighted at one hole or the other.
-        return {
-            OutcomeTag.SEEN_AT_A: psi_a.weight,
-            OutcomeTag.SEEN_AT_B: psi_b.weight,
-            OutcomeTag.NOT_SEEN: 0.0,
-        }
-    # Hole A only.  With the window cut short the light never catches the
-    # electron, so no sighting (positive or null) is possible.
-    if not config.window_complete:
-        return {OutcomeTag.SEEN_AT_A: 0.0, OutcomeTag.SEEN_AT_B: 0.0, OutcomeTag.NOT_SEEN: 1.0}
-    p_a = psi_a.weight
-    return {OutcomeTag.SEEN_AT_A: p_a, OutcomeTag.SEEN_AT_B: 0.0, OutcomeTag.NOT_SEEN: 1.0 - p_a}
+    weights = {OutcomeTag.SEEN_AT_A: psi_a.weight, OutcomeTag.SEEN_AT_B: psi_b.weight}
+    probs = {tag: weight if tag in branches else 0.0 for tag, weight in weights.items()}
+    probs[OutcomeTag.NOT_SEEN] = (
+        1.0 - sum(probs.values()) if OutcomeTag.NOT_SEEN in branches else 0.0
+    )
+    return probs
 
 
 def sample_arrivals(
-    config: IlluminationConfig, geom: SlitGeometry, n: int, rng: np.random.Generator
+    illumination: Illumination, geom: SlitGeometry, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` electrons' sighting outcomes, then each one's arrival position.
 
@@ -132,10 +128,10 @@ def sample_arrivals(
     ``stats.sample_positions`` of the not-seen density with the same
     generator.
     """
-    probs = outcome_probabilities(config, geom)
+    probs = outcome_probabilities(illumination, geom)
     not_seen = OUTCOME_ORDER.index(OutcomeTag.NOT_SEEN)
     if probs[OutcomeTag.NOT_SEEN] == 1.0:
-        density = conditional_density(config, OutcomeTag.NOT_SEEN, geom)
+        density = conditional_density(illumination, OutcomeTag.NOT_SEEN, geom)
         sample = stats.sample_positions(density, n, rng)
         return np.full(n, not_seen), sample.positions
 
@@ -150,56 +146,32 @@ def sample_arrivals(
     for idx, tag in enumerate(OUTCOME_ORDER):
         mask = outcome_index == idx
         if mask.any():
-            density = conditional_density(config, tag, geom)
+            density = conditional_density(illumination, tag, geom)
             positions[mask] = stats.GriddedCdf(density).ppf(u_position[mask])
     return outcome_index, positions
 
 
-def ensemble_density(
-    config: IlluminationConfig, geom: SlitGeometry | None = None
-) -> RealDensity:
+def ensemble_density(illumination: Illumination, geom: SlitGeometry) -> RealDensity:
     """Marginal screen density over all outcomes, normalized to one.
 
-    No light (or light cut short at hole A): the interference density
-    |psi_A + psi_B|^2.  Light at both holes, or at hole A with a complete
+    No light, or light cut early at hole A: the interference density
+    |psi_A + psi_B|^2.  Light at both holes, or at hole A for the full
     window: the incoherent sum |psi_A|^2 + |psi_B|^2 (the electron's hole
     is then known for every arrival, by sighting or by its absence).
     """
-    geom = default_geometry() if geom is None else geom
-    if config.mode is IlluminationMode.OFF:
-        return _analytic_density(geom, "interference")
-    if config.mode is IlluminationMode.BOTH_HOLES:
-        return _analytic_density(geom, "incoherent")
-    if config.window_complete:
-        return _analytic_density(geom, "incoherent")
-    return _analytic_density(geom, "interference")
+    return _analytic_density(geom, _REGIMES[illumination][0])
 
 
 def conditional_density(
-    config: IlluminationConfig,
-    tag: OutcomeTag,
-    geom: SlitGeometry | None = None,
+    illumination: Illumination, tag: OutcomeTag, geom: SlitGeometry
 ) -> RealDensity:
-    """Normalized screen density of electrons with the given sighting outcome."""
-    geom = default_geometry() if geom is None else geom
-    mode = config.mode
-    if mode is IlluminationMode.OFF:
-        if tag is not OutcomeTag.NOT_SEEN:
-            raise ValueError("nothing can be sighted with the light off")
-        return _analytic_density(geom, "interference")
-    if mode is IlluminationMode.BOTH_HOLES:
-        if tag is OutcomeTag.SEEN_AT_A:
-            return _analytic_density(geom, "hole_a")
-        if tag is OutcomeTag.SEEN_AT_B:
-            return _analytic_density(geom, "hole_b")
-        raise ValueError("with both holes lit every electron is sighted")
-    # Hole A only.
-    if tag is OutcomeTag.SEEN_AT_B:
-        raise ValueError("hole B is unlit; an electron cannot be sighted there")
-    if config.window_complete:
-        if tag is OutcomeTag.SEEN_AT_A:
-            return _analytic_density(geom, "hole_a")
-        return _analytic_density(geom, "hole_b")
-    if tag is OutcomeTag.SEEN_AT_A:
-        raise ValueError("the light was cut before any electron could be sighted")
-    return _analytic_density(geom, "interference")
+    """Normalized screen density of electrons with the given sighting outcome.
+
+    Raises ValueError for an outcome that cannot occur under the illumination.
+    """
+    branches = _REGIMES[illumination][1]
+    if tag not in branches:
+        raise ValueError(
+            f"outcome {tag.value!r} cannot occur under illumination {illumination.value!r}"
+        )
+    return _analytic_density(geom, branches[tag])

@@ -26,7 +26,6 @@ __all__ = [
     "TransverseAmplitude",
     "default_geometry",
     "fresnel_oracle",
-    "intensity",
     "relative_l2_error",
     "single_hole_amplitude",
     "superpose",
@@ -44,6 +43,12 @@ WEIGHT_INTEGRAL_RTOL = 1e-9
 # grid integral additionally picks up the two-branch cross term, which is
 # physical and stays below ~1e-3 of the total for well-separated holes.
 WEIGHT_CEILING = 1.0 + 1e-3
+
+# Gauss-Legendre nodes per hole of the Fresnel quadrature (checked against
+# twice as many), and screen points per block of its kernel matrix, which
+# bounds the kernel's memory.
+ORACLE_NODES_PER_HOLE = 256
+ORACLE_SCREEN_BLOCK = 1024
 
 
 class Hole(enum.Enum):
@@ -222,13 +227,6 @@ class RealDensity:
     def __setattr__(self, name, value):
         raise AttributeError("RealDensity is immutable")
 
-    def normalized(self) -> "RealDensity":
-        """Rescale to unit total."""
-        if self.total <= 0:
-            raise ValueError("cannot normalize a zero density")
-        values = self.values / self.total
-        return RealDensity(self.geometry, values, _trapezoid(values, self.x), x=self.x)
-
     def restrict(self, lo: float, hi: float) -> "RealDensity":
         """Condition on a window: slice to grid points in [lo, hi], renormalize.
 
@@ -282,11 +280,6 @@ def superpose(a: TransverseAmplitude, b: TransverseAmplitude) -> TransverseAmpli
     return TransverseAmplitude(a.geometry, values, weight)
 
 
-def intensity(psi: TransverseAmplitude) -> RealDensity:
-    """Detection density |psi|^2; its total equals the amplitude's weight."""
-    return RealDensity(psi.geometry, np.abs(psi.values) ** 2, psi.weight)
-
-
 def visibility(p: RealDensity, window: tuple[float, float]) -> float:
     """Fringe contrast (P_max - P_min)/(P_max + P_min) over a window.
 
@@ -318,9 +311,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(nodes), _readonly(weights)
 
 
-def _fresnel_field(
-    geom: SlitGeometry, hole: Hole, nodes: int, screen_block: int = 1024
-) -> np.ndarray:
+def _fresnel_field(geom: SlitGeometry, hole: Hole, nodes: int) -> np.ndarray:
     """Raw Fresnel field of one hole by Gauss-Legendre aperture quadrature.
 
     Kernel convention: exp(2i pi x x'/(lambda L)) * exp(-i pi x'^2/(lambda L)),
@@ -340,17 +331,15 @@ def _fresnel_field(
     amplitude = 1.0 / np.sqrt(geom.hole_width_a + geom.hole_width_b)
     weighted = amplitude * aperture_phase * w_quad / np.sqrt(lam_l)
     field = np.empty(x.size, dtype=complex)
-    for start in range(0, x.size, screen_block):
-        block = x[start : start + screen_block]
+    for start in range(0, x.size, ORACLE_SCREEN_BLOCK):
+        block = x[start : start + ORACLE_SCREEN_BLOCK]
         kernel = np.exp((2j * np.pi / lam_l) * np.outer(block, xs))
-        field[start : start + screen_block] = kernel @ weighted
+        field[start : start + ORACLE_SCREEN_BLOCK] = kernel @ weighted
     return field
 
 
 def fresnel_oracle(
-    geom: SlitGeometry,
-    open_holes: Iterable[Hole] = (Hole.A, Hole.B),
-    nodes_per_hole: int = 256,
+    geom: SlitGeometry, open_holes: Iterable[Hole] = (Hole.A, Hole.B)
 ) -> TransverseAmplitude:
     """Screen amplitude from brute-force quadrature of the diffraction integral.
 
@@ -359,8 +348,8 @@ def fresnel_oracle(
     to the aperture-area branch weight w_h/(w_A + w_B) (the same finite-grid
     convention the closed forms use) and the open holes are summed.
 
-    Raises QuadratureConvergenceError if doubling the node count moves the
-    raw field by more than 1e-9 in relative L2 norm.
+    Raises QuadratureConvergenceError if doubling the ``ORACLE_NODES_PER_HOLE``
+    nodes moves the raw field by more than 1e-9 in relative L2 norm.
     """
     holes = sorted(set(open_holes), key=lambda h: h.value)
     if not holes:
@@ -368,15 +357,15 @@ def fresnel_oracle(
     x = geom.grid
     total = np.zeros(x.size, dtype=complex)
     for hole in holes:
-        coarse = _fresnel_field(geom, hole, nodes_per_hole)
-        fine = _fresnel_field(geom, hole, 2 * nodes_per_hole)
+        coarse = _fresnel_field(geom, hole, ORACLE_NODES_PER_HOLE)
+        fine = _fresnel_field(geom, hole, 2 * ORACLE_NODES_PER_HOLE)
         err = np.sqrt(
             _trapezoid(np.abs(fine - coarse) ** 2, x) / _trapezoid(np.abs(fine) ** 2, x)
         )
         if err > 1e-9:
             raise QuadratureConvergenceError(
                 f"aperture quadrature not converged for hole {hole.value}: "
-                f"relative change {err:.3e} after doubling {nodes_per_hole} nodes"
+                f"relative change {err:.3e} after doubling {ORACLE_NODES_PER_HOLE} nodes"
             )
         target = geom.hole_width(hole) / (geom.hole_width_a + geom.hole_width_b)
         norm = _trapezoid(np.abs(fine) ** 2, x)
@@ -385,26 +374,21 @@ def fresnel_oracle(
     return TransverseAmplitude(geom, total, weight)
 
 
-def relative_l2_error(
-    candidate: TransverseAmplitude,
-    reference: TransverseAmplitude,
-    align_global_phase: bool = True,
-) -> float:
+def relative_l2_error(candidate: TransverseAmplitude, reference: TransverseAmplitude) -> float:
     """Relative L2 distance ||a - e^{i phi} b|| / ||b|| on the shared grid.
 
-    With ``align_global_phase`` the physically meaningless overall phase is
-    optimized out before comparing; relative phases, envelope shape and
-    normalization all still count.
+    The physically meaningless overall phase phi is optimized out before
+    comparing; relative phases, envelope shape and normalization all still
+    count.
     """
     if candidate.geometry != reference.geometry:
         raise ValueError("grid mismatch: amplitudes belong to different geometries")
     x = candidate.geometry.grid
     a = candidate.values
     b = reference.values
-    if align_global_phase:
-        overlap = np.vdot(b, a)
-        if abs(overlap) > 0:
-            b = b * (overlap / abs(overlap))
+    overlap = np.vdot(b, a)
+    if abs(overlap) > 0:
+        b = b * (overlap / abs(overlap))
     num = _trapezoid(np.abs(a - b) ** 2, x)
     den = _trapezoid(np.abs(reference.values) ** 2, x)
     return float(np.sqrt(num / den))

@@ -86,14 +86,13 @@ def dark_threshold_for_false_rate(rates: VSystemRates, per_gap_probability: floa
     return math.log(1.0 / per_gap_probability) / rates.fluorescence_rate
 
 
-def default_dark_threshold(rates: VSystemRates | None = None) -> float:
+def default_dark_threshold(rates: VSystemRates) -> float:
     """Default silence threshold, ~0.92 ms at the default rates.
 
     That is ~92 mean photon spacings, so a bright ion essentially never
     fakes a dark period (per-gap odds exp(-92) = 1e-40), while detection
     still lags a real shelving event by well under a typical dark dwell.
     """
-    rates = default_rates() if rates is None else rates
     return dark_threshold_for_false_rate(rates, 1e-40)
 
 
@@ -117,11 +116,10 @@ class TelegraphTrajectory:
         if abs(span - self.total_time) > DURATION_SUM_RTOL * self.total_time:
             raise ValueError("durations must sum to total_time")
 
-    def durations(self, state: IonState, complete_only: bool = True) -> np.ndarray:
-        """Dwell times in one state; drops the final (censored) interval
-        unless ``complete_only`` is false."""
-        intervals = self.intervals[:-1] if complete_only else self.intervals
-        return np.array([d for s, d in intervals if s is state], dtype=float)
+    def durations(self, state: IonState) -> np.ndarray:
+        """Complete dwell times in one state; the final interval, cut short
+        by the end of the record, is dropped."""
+        return np.array([d for s, d in self.intervals[:-1] if s is state], dtype=float)
 
     def absolute_intervals(self) -> list[tuple[IonState, float, float]]:
         """(state, start, end) triples in chronological order."""
@@ -255,7 +253,6 @@ def score_detections(
     traj: TelegraphTrajectory,
     inferred: list[tuple[float, float]],
     dark_threshold: float,
-    min_duration: float | None = None,
 ) -> DetectionScore:
     """Match inferred dark intervals to true ones by their triggering silence.
 
@@ -264,15 +261,13 @@ def score_detections(
     dwell overlapping (start - dark_threshold, end); without the widening, a
     dwell marginally shorter than the threshold can end inside the detection
     delay and be miscounted as a false alarm.  Recall counts true dark
-    dwells of at least ``min_duration`` (default 2 * dark_threshold) that
-    some detection covers.  The false-discovery rate is the fraction of
-    detections matching no dwell at all.  Start latency (|inferred start -
-    true start|) is reported for matched, photon-bounded detections; a
-    detection whose silence began at the record boundary has no reference
-    photon and is excluded from the latency maximum.
+    dwells of at least 2 * dark_threshold that some detection covers.  The
+    false-discovery rate is the fraction of detections matching no dwell at
+    all.  Start latency (|inferred start - true start|) is reported for
+    matched, photon-bounded detections; a detection whose silence began at
+    the record boundary has no reference photon and is excluded from the
+    latency maximum.
     """
-    if min_duration is None:
-        min_duration = 2 * dark_threshold
     true_dark = [
         (start, end) for state, start, end in traj.absolute_intervals() if state is IonState.DARK
     ]
@@ -298,7 +293,9 @@ def score_detections(
             n_false += 1
         elif start > 0.0:
             latencies.append(abs(start - first_overlap))
-    eligible = [m for (s, e), m in zip(true_dark, matched_true) if e - s >= min_duration]
+    eligible = [
+        m for (s, e), m in zip(true_dark, matched_true) if e - s >= 2 * dark_threshold
+    ]
     recall = sum(eligible) / len(eligible) if eligible else 1.0
     fdr = n_false / len(inferred) if inferred else 0.0
     return DetectionScore(

@@ -38,6 +38,9 @@ MIN_EXPECTED_PER_BIN = 5.0
 # default sample size, and tries these bin counts, finest first.
 CHI2_HALF_PERIODS = 6
 CHI2_BIN_LADDER = (96, 64, 48, 32, 24, 16, 12, 8)
+# fringe_visibility_from_positions reads the arrivals within
+# +-VISIBILITY_HALF_PERIODS fringe periods.
+VISIBILITY_HALF_PERIODS = 3
 
 
 class GriddedCdf:
@@ -242,22 +245,18 @@ def ks_exponential(durations, rate: float) -> KsResult:
     return KsResult(float(result.statistic), float(result.pvalue))
 
 
-def fringe_visibility_from_positions(
-    sample: PositionSample, half_periods: int = 3
-) -> float:
+def fringe_visibility_from_positions(sample: PositionSample) -> float:
     """Fringe contrast of sampled arrivals from their first harmonic.
 
-    Restricted to the central window of ±``half_periods`` fringe periods
-    (a whole number of periods keeps the harmonic orthogonal to the
-    envelope), the modulus of the empirical first Fourier coefficient at
+    Restricted to the central window of ±``VISIBILITY_HALF_PERIODS``
+    fringe periods (a whole number of periods keeps the harmonic orthogonal
+    to the envelope), the modulus of the empirical first Fourier coefficient at
     the fringe frequency, times two, estimates (P_max-P_min)/(P_max+P_min)
     of the underlying pattern.  Unlike histogram extrema it is unbiased
     under Poisson counting noise at these sample sizes.
     """
-    if half_periods < 1:
-        raise ValueError("need at least one fringe period per side")
     period = sample.geometry.fringe_period
-    half = half_periods * period
+    half = VISIBILITY_HALF_PERIODS * period
     positions = sample.positions
     selected = positions[np.abs(positions) <= half]
     if selected.size == 0:

@@ -11,8 +11,7 @@ import numpy as np
 from slitlab.cli import main as cli_main
 from slitlab.measurement import (
     OUTCOME_ORDER,
-    IlluminationConfig,
-    IlluminationMode,
+    Illumination,
     OutcomeTag,
     conditional_density,
     ensemble_density,
@@ -52,12 +51,6 @@ GEOM = default_geometry()
 N_ELECTRONS = 100_000
 SEED = 7
 
-OFF = IlluminationConfig(IlluminationMode.OFF)
-BOTH = IlluminationConfig(IlluminationMode.BOTH_HOLES, window_complete=True)
-A_COMPLETE = IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=True)
-A_EARLY_OFF = IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=False)
-
-
 def verdict(number, title, ok, detail):
     stream = sys.__stdout__ or sys.stdout
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({title}): {detail}", file=stream)
@@ -76,12 +69,12 @@ def arrivals(config):
 
 
 def test_criterion_1_interference():
-    density = ensemble_density(OFF, GEOM)
+    density = ensemble_density(Illumination.OFF, GEOM)
     rng = np.random.default_rng(SEED)
     sample = sample_positions(density, N_ELECTRONS, rng)
     vis = fringe_visibility_from_positions(sample)
     p_fit = chi2_p(sample.positions, density)
-    p_wrong = chi2_p(sample.positions, ensemble_density(BOTH, GEOM))
+    p_wrong = chi2_p(sample.positions, ensemble_density(Illumination.BOTH_HOLES, GEOM))
     ok = vis >= 0.90 and p_fit >= 0.01 and p_wrong < 1e-6
     verdict(
         1,
@@ -93,12 +86,13 @@ def test_criterion_1_interference():
 
 
 def test_criterion_2_which_path_destruction():
-    density = ensemble_density(BOTH, GEOM)
-    index, positions = arrivals(BOTH)
+    both = Illumination.BOTH_HOLES
+    density = ensemble_density(both, GEOM)
+    index, positions = arrivals(both)
     vis = fringe_visibility_from_positions(PositionSample(positions, GEOM))
     p_ensemble = chi2_p(positions, density)
     p_a, p_b = (
-        chi2_p(positions[index == OUTCOME_ORDER.index(tag)], conditional_density(BOTH, tag, GEOM))
+        chi2_p(positions[index == OUTCOME_ORDER.index(tag)], conditional_density(both, tag, GEOM))
         for tag in (OutcomeTag.SEEN_AT_A, OutcomeTag.SEEN_AT_B)
     )
     ok = vis <= 0.05 and p_ensemble >= 0.01 and p_a >= 0.01 and p_b >= 0.01
@@ -112,10 +106,10 @@ def test_criterion_2_which_path_destruction():
 
 
 def test_criterion_3_one_hole_illumination_equivalence():
-    both = ensemble_density(BOTH, GEOM)
-    one = ensemble_density(A_COMPLETE, GEOM)
+    both = ensemble_density(Illumination.BOTH_HOLES, GEOM)
+    one = ensemble_density(Illumination.HOLE_A, GEOM)
     deviation = float(np.max(np.abs(both.values - one.values)))
-    _, positions = arrivals(A_COMPLETE)
+    _, positions = arrivals(Illumination.HOLE_A)
     p_fit = chi2_p(positions, one)
     ok = deviation <= 1e-12 and p_fit >= 0.01
     verdict(
@@ -127,10 +121,10 @@ def test_criterion_3_one_hole_illumination_equivalence():
 
 
 def test_criterion_4_negative_observation_collapse():
-    index, positions = arrivals(A_COMPLETE)
+    index, positions = arrivals(Illumination.HOLE_A)
     not_seen = positions[index == OUTCOME_ORDER.index(OutcomeTag.NOT_SEEN)]
     seen = positions[index == OUTCOME_ORDER.index(OutcomeTag.SEEN_AT_A)]
-    p_fit = chi2_p(not_seen, conditional_density(A_COMPLETE, OutcomeTag.NOT_SEEN, GEOM))
+    p_fit = chi2_p(not_seen, conditional_density(Illumination.HOLE_A, OutcomeTag.NOT_SEEN, GEOM))
 
     # mirror comparison against the sighted branch, bin by bin
     half = CHI2_HALF_PERIODS * GEOM.fringe_period
@@ -154,8 +148,8 @@ def test_criterion_4_negative_observation_collapse():
 
 
 def test_criterion_5_early_light_off_restoration():
-    off = ensemble_density(OFF, GEOM)
-    early = ensemble_density(A_EARLY_OFF, GEOM)
+    off = ensemble_density(Illumination.OFF, GEOM)
+    early = ensemble_density(Illumination.HOLE_A_EARLY_OFF, GEOM)
     deviation = float(np.max(np.abs(off.values - early.values)))
     rng = np.random.default_rng(SEED)
     sample = sample_positions(early, N_ELECTRONS, rng)
@@ -230,7 +224,7 @@ def test_criterion_8_negative_observation_detector():
     traj = simulate_trajectory(rates, 5650.0, rng)
     record = emit_photons(traj, rates, rng)
     inferred = detect_jumps(record, tau)
-    score = score_detections(traj, inferred, tau, min_duration=2 * tau)
+    score = score_detections(traj, inferred, tau)
     n_jumps = traj.durations(IonState.DARK).size
     ok = (
         n_jumps >= 10_000
@@ -262,7 +256,7 @@ def test_criterion_9_conservation_and_determinism(tmp_path):
 
     # outcome-weighted conditionals reconstruct every ensemble
     mixture_err = 0.0
-    for config in (OFF, BOTH, A_COMPLETE, A_EARLY_OFF):
+    for config in Illumination:
         probs = outcome_probabilities(config, GEOM)
         mixture = np.zeros(GEOM.grid_points)
         for tag, p in probs.items():

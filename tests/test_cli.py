@@ -207,6 +207,33 @@ class TestNonFiniteInputs:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", FLAGS)
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf", "-5e-8"])
+    def test_negative_value_as_its_own_argument(self, tmp_path, capsys, flag, value):
+        # argparse alone would read these tokens as options and report
+        # "expected one argument"; the checks must see them instead.
+        experiment = "shelving" if flag == "--total-time" else "g1"
+        out = tmp_path / "x"
+        assert main([experiment, flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite" in err or f"{flag} must be positive" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_rejected(tmp_path, capsys, source):
+    out = tmp_path / "x"
+    argv = ["g1", "--out", str(out)]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["g1", "--hole-width", "1e-3"],  # holes overlap: SlitGeometry fails inside run

@@ -1,4 +1,4 @@
-"""Collapse semantics and screen densities for the three illumination regimes."""
+"""Collapse semantics and screen densities for the four illumination regimes."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from slitlab.measurement import (
     OUTCOME_ORDER,
-    IlluminationConfig,
-    IlluminationMode,
+    Illumination,
     OutcomeTag,
     conditional_density,
     ensemble_density,
@@ -26,23 +25,12 @@ from test_optics import random_far_field_geometry
 
 GEOM = default_geometry()
 
-OFF = IlluminationConfig(IlluminationMode.OFF)
-BOTH = IlluminationConfig(IlluminationMode.BOTH_HOLES, window_complete=True)
-A_COMPLETE = IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=True)
-A_EARLY_OFF = IlluminationConfig(IlluminationMode.HOLE_A_ONLY, window_complete=False)
-
 SEEN_AT_A, SEEN_AT_B, NOT_SEEN = (OUTCOME_ORDER.index(tag) for tag in OutcomeTag)
 
 
 def chi2_p(positions, config, tag):
     result, _ = windowed_chi2(positions, conditional_density(config, tag, GEOM))
     return result.p_value
-
-
-class TestConfigAndState:
-    def test_off_mode_normalizes_window_flag(self):
-        config = IlluminationConfig(IlluminationMode.OFF, window_complete=True)
-        assert config.window_complete is False
 
 
 class TestApplyMeasurement:
@@ -59,12 +47,12 @@ class TestApplyMeasurement:
         assert positions.tobytes() == expected.positions.tobytes()
 
     def test_light_off_changes_nothing(self):
-        self.assert_unseen_and_unchanged(OFF, 0)
+        self.assert_unseen_and_unchanged(Illumination.OFF, 0)
 
     def test_sighting_frequency_matches_branch_weight(self):
         # Symmetric holes, hole A lit, complete window: half are sighted.
         n = 20_000
-        index, _ = sample_arrivals(A_COMPLETE, GEOM, n, np.random.default_rng(2024))
+        index, _ = sample_arrivals(Illumination.HOLE_A, GEOM, n, np.random.default_rng(2024))
         seen = np.count_nonzero(index == SEEN_AT_A)
         assert abs(seen / n - 0.5) < 3 * np.sqrt(0.25 / n)
         assert np.count_nonzero(index == NOT_SEEN) == n - seen
@@ -81,7 +69,7 @@ class TestApplyMeasurement:
             grid_points=8192,
         )
         n = 100_000
-        index, _ = sample_arrivals(BOTH, geom, n, np.random.default_rng(99))
+        index, _ = sample_arrivals(Illumination.BOTH_HOLES, geom, n, np.random.default_rng(99))
         seen_a = np.count_nonzero(index == SEEN_AT_A)
         assert np.count_nonzero(index == SEEN_AT_B) == n - seen_a
         p = 2 / 3
@@ -89,25 +77,28 @@ class TestApplyMeasurement:
 
     def test_sighting_collapses_to_that_hole(self):
         # Each sighted pile fits its own hole's density, not the fringes.
-        index, positions = sample_arrivals(BOTH, GEOM, 20_000, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        index, positions = sample_arrivals(Illumination.BOTH_HOLES, GEOM, 20_000, rng)
         for idx, tag in ((SEEN_AT_A, OutcomeTag.SEEN_AT_A), (SEEN_AT_B, OutcomeTag.SEEN_AT_B)):
             pile = positions[index == idx]
-            assert chi2_p(pile, BOTH, tag) >= 1e-4
-            assert chi2_p(pile, OFF, OutcomeTag.NOT_SEEN) < 1e-6
+            assert chi2_p(pile, Illumination.BOTH_HOLES, tag) >= 1e-4
+            assert chi2_p(pile, Illumination.OFF, OutcomeTag.NOT_SEEN) < 1e-6
 
     def test_null_observation_collapses_to_unlit_hole(self):
-        index, positions = sample_arrivals(A_COMPLETE, GEOM, 20_000, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        index, positions = sample_arrivals(Illumination.HOLE_A, GEOM, 20_000, rng)
         null = positions[index == NOT_SEEN]
         assert null.size > 0
-        assert chi2_p(null, A_COMPLETE, OutcomeTag.NOT_SEEN) >= 1e-4
-        assert chi2_p(null, OFF, OutcomeTag.NOT_SEEN) < 1e-6
+        assert chi2_p(null, Illumination.HOLE_A, OutcomeTag.NOT_SEEN) >= 1e-4
+        assert chi2_p(null, Illumination.OFF, OutcomeTag.NOT_SEEN) < 1e-6
 
     def test_early_light_off_preserves_coherence(self):
-        self.assert_unseen_and_unchanged(A_EARLY_OFF, 7)
+        self.assert_unseen_and_unchanged(Illumination.HOLE_A_EARLY_OFF, 7)
 
     def test_seeded_outcome_sequence_is_reproducible(self):
         def draw():
-            return sample_arrivals(BOTH, GEOM, 2000, np.random.default_rng(31415))
+            rng = np.random.default_rng(31415)
+            return sample_arrivals(Illumination.BOTH_HOLES, GEOM, 2000, rng)
 
         (index1, positions1), (index2, positions2) = draw(), draw()
         assert index1.tobytes() == index2.tobytes()
@@ -116,32 +107,32 @@ class TestApplyMeasurement:
 
 class TestEnsembleDensity:
     def test_off_density_shows_full_contrast_fringes(self):
-        dens = ensemble_density(OFF, GEOM)
+        dens = ensemble_density(Illumination.OFF, GEOM)
         assert dens.total == pytest.approx(1.0, abs=1e-9)
         period = GEOM.fringe_period
         assert visibility(dens, (-period, period)) > 0.99
 
     def test_both_holes_is_pointwise_incoherent_sum(self):
-        dens = ensemble_density(BOTH, GEOM)
+        dens = ensemble_density(Illumination.BOTH_HOLES, GEOM)
         p1 = np.abs(single_hole_amplitude(GEOM, Hole.A).values) ** 2
         p2 = np.abs(single_hole_amplitude(GEOM, Hole.B).values) ** 2
         expected = (p1 + p2) / np.trapezoid(p1 + p2, GEOM.grid)
         assert np.max(np.abs(dens.values - expected)) < 1e-12
 
     def test_one_lit_hole_equals_both_lit(self):
-        both = ensemble_density(BOTH, GEOM)
-        one = ensemble_density(A_COMPLETE, GEOM)
+        both = ensemble_density(Illumination.BOTH_HOLES, GEOM)
+        one = ensemble_density(Illumination.HOLE_A, GEOM)
         assert np.max(np.abs(both.values - one.values)) < 1e-12
 
     def test_early_light_off_restores_interference(self):
-        off = ensemble_density(OFF, GEOM)
-        early = ensemble_density(A_EARLY_OFF, GEOM)
+        off = ensemble_density(Illumination.OFF, GEOM)
+        early = ensemble_density(Illumination.HOLE_A_EARLY_OFF, GEOM)
         assert np.max(np.abs(off.values - early.values)) < 1e-12
 
 
 class TestConditionalDensity:
     def test_null_branch_is_exactly_the_unlit_hole_density(self):
-        dens = conditional_density(A_COMPLETE, OutcomeTag.NOT_SEEN, GEOM)
+        dens = conditional_density(Illumination.HOLE_A, OutcomeTag.NOT_SEEN, GEOM)
         psi_b = single_hole_amplitude(GEOM, Hole.B)
         expected = np.abs(psi_b.values) ** 2 / psi_b.weight
         expected /= np.trapezoid(expected, GEOM.grid)
@@ -152,33 +143,34 @@ class TestConditionalDensity:
         assert abs(first_moment) < 1e-12
 
     def test_null_branch_mirrors_the_sighted_branch(self):
-        null = conditional_density(A_COMPLETE, OutcomeTag.NOT_SEEN, GEOM)
-        seen = conditional_density(A_COMPLETE, OutcomeTag.SEEN_AT_A, GEOM)
+        null = conditional_density(Illumination.HOLE_A, OutcomeTag.NOT_SEEN, GEOM)
+        seen = conditional_density(Illumination.HOLE_A, OutcomeTag.SEEN_AT_A, GEOM)
         assert np.max(np.abs(null.values - seen.values[::-1])) < 1e-12
 
     def test_sighted_branch_has_no_fringes(self):
-        dens = conditional_density(BOTH, OutcomeTag.SEEN_AT_A, GEOM)
+        dens = conditional_density(Illumination.BOTH_HOLES, OutcomeTag.SEEN_AT_A, GEOM)
         period = GEOM.fringe_period
         assert visibility(dens, (-period, period)) <= 0.05
 
     def test_unconditioned_case_equals_ensemble(self):
-        cond = conditional_density(OFF, OutcomeTag.NOT_SEEN, GEOM)
-        ens = ensemble_density(OFF, GEOM)
+        cond = conditional_density(Illumination.OFF, OutcomeTag.NOT_SEEN, GEOM)
+        ens = ensemble_density(Illumination.OFF, GEOM)
         np.testing.assert_array_equal(cond.values, ens.values)
 
-    def test_inconsistent_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            conditional_density(OFF, OutcomeTag.SEEN_AT_A, GEOM)
-        with pytest.raises(ValueError):
-            conditional_density(A_COMPLETE, OutcomeTag.SEEN_AT_B, GEOM)
-        with pytest.raises(ValueError):
-            conditional_density(BOTH, OutcomeTag.NOT_SEEN, GEOM)
-        with pytest.raises(ValueError):
-            conditional_density(A_EARLY_OFF, OutcomeTag.SEEN_AT_A, GEOM)
+    @pytest.mark.parametrize("tag", OutcomeTag, ids=lambda tag: tag.value)
+    @pytest.mark.parametrize("illumination", Illumination, ids=lambda regime: regime.value)
+    def test_inconsistent_pairs_rejected(self, illumination, tag):
+        # An outcome of probability 0 has no branch; any other has a unit-total one.
+        if outcome_probabilities(illumination, GEOM)[tag] == 0.0:
+            with pytest.raises(ValueError, match=f"{tag.value}.*{illumination.value}"):
+                conditional_density(illumination, tag, GEOM)
+        else:
+            total = conditional_density(illumination, tag, GEOM).total
+            assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTotalProbability:
-    @pytest.mark.parametrize("config", [OFF, BOTH, A_COMPLETE, A_EARLY_OFF])
+    @pytest.mark.parametrize("config", Illumination, ids=lambda regime: regime.value)
     def test_outcome_mixture_reconstructs_ensemble(self, config):
         probs = outcome_probabilities(config, GEOM)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
@@ -191,41 +183,31 @@ class TestTotalProbability:
         assert np.max(np.abs(mixture - ens.values)) < 1e-9
 
 
-FIVE_REGIMES = [
-    (OFF, OutcomeTag.NOT_SEEN),
-    (BOTH, OutcomeTag.SEEN_AT_A),
-    (BOTH, OutcomeTag.SEEN_AT_B),
-    (A_COMPLETE, OutcomeTag.SEEN_AT_A),
-    (A_COMPLETE, OutcomeTag.NOT_SEEN),
-]
-
-
 class TestSampledVersusAnalytic:
     def test_collapse_then_born_sampling_matches_conditionals(self):
         # Positions generated through the measurement itself: draw the
         # outcome per electron, then sample that outcome's branch; the
-        # per-regime piles must fit their conditionals.
+        # pile of every possible outcome must fit its conditional.
         rng = np.random.default_rng(8462)
         n = 20_000
-        for config in (OFF, BOTH, A_COMPLETE):
+        for config in (Illumination.OFF, Illumination.BOTH_HOLES, Illumination.HOLE_A):
             index, positions = sample_arrivals(config, GEOM, n, rng)
-            for regime_config, tag in FIVE_REGIMES:
-                if regime_config is not config:
+            probs = outcome_probabilities(config, GEOM)
+            for idx, tag in enumerate(OUTCOME_ORDER):
+                if probs[tag] == 0.0:
                     continue
-                pile = positions[index == OUTCOME_ORDER.index(tag)]
-                assert pile.size > 0, (config.mode, tag)
+                pile = positions[index == idx]
+                assert pile.size > 0, (config, tag)
                 result, n_bins = windowed_chi2(pile, conditional_density(config, tag, GEOM))
-                assert result.p_value >= 0.01, (config.mode, tag, n_bins, result)
+                assert result.p_value >= 0.01, (config, tag, n_bins, result)
 
 
 class TestMeasurementProperties:
-    CONFIGS = (OFF, BOTH, A_COMPLETE, A_EARLY_OFF)
-
     @settings(max_examples=15, derandomize=True, deadline=None)
     @given(geom_seed=st.integers(0, 2**32 - 1))
     def test_probabilities_and_mixture_rebuild_the_ensemble(self, geom_seed):
         geom = random_far_field_geometry(np.random.default_rng(geom_seed))
-        for config in self.CONFIGS:
+        for config in Illumination:
             probs = outcome_probabilities(config, geom)
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
             mixture = np.zeros(geom.grid_points)
@@ -239,7 +221,7 @@ class TestMeasurementProperties:
     @given(geom_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
     def test_no_outcome_of_probability_zero_is_drawn(self, geom_seed, seed):
         geom = random_far_field_geometry(np.random.default_rng(geom_seed))
-        for config in self.CONFIGS:
+        for config in Illumination:
             probs = outcome_probabilities(config, geom)
             index, positions = sample_arrivals(config, geom, 2000, np.random.default_rng(seed))
             drawn = {OUTCOME_ORDER[i] for i in np.unique(index)}

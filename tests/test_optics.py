@@ -10,7 +10,6 @@ from slitlab.optics import (
     TransverseAmplitude,
     default_geometry,
     fresnel_oracle,
-    intensity,
     relative_l2_error,
     single_hole_amplitude,
     superpose,
@@ -189,26 +188,6 @@ class TestSuperpose:
         assert abs(cross) < 1e-3 * both.weight
 
 
-class TestIntensity:
-    def test_zero_amplitude_gives_zero_density(self):
-        zero = TransverseAmplitude(GEOM, np.zeros(GEOM.grid_points, dtype=complex), 0.0)
-        dens = intensity(zero)
-        assert np.all(dens.values == 0.0)
-        assert dens.total == 0.0
-
-    def test_constant_amplitude_on_unit_interval(self):
-        geom = make_geometry(grid_min=0.0, grid_max=1.0)
-        psi = TransverseAmplitude(geom, np.ones(geom.grid_points, dtype=complex), 1.0)
-        dens = intensity(psi)
-        assert np.all(dens.values == 1.0)
-        assert dens.total == pytest.approx(1.0, rel=1e-12)
-
-    def test_total_equals_amplitude_weight(self):
-        psi_a = single_hole_amplitude(GEOM, Hole.A)
-        both = superpose(psi_a, single_hole_amplitude(GEOM, Hole.B))
-        assert intensity(both).total == pytest.approx(both.weight, rel=1e-12)
-
-
 class TestFresnelOracle:
     def test_single_hole_matches_closed_form(self):
         for hole in Hole:
@@ -281,12 +260,14 @@ class TestVisibility:
         assert vis <= 0.05
 
     def test_window_too_narrow_rejected(self):
-        dens = intensity(single_hole_amplitude(GEOM, Hole.A))
+        psi = single_hole_amplitude(GEOM, Hole.A)
+        dens = RealDensity(GEOM, np.abs(psi.values) ** 2, psi.weight)
         with pytest.raises(ValueError, match="narrow"):
             visibility(dens, (-0.5 * GEOM.fringe_period, 0.5 * GEOM.fringe_period))
 
     def test_window_outside_grid_rejected(self):
-        dens = intensity(single_hole_amplitude(GEOM, Hole.A))
+        psi = single_hole_amplitude(GEOM, Hole.A)
+        dens = RealDensity(GEOM, np.abs(psi.values) ** 2, psi.weight)
         with pytest.raises(ValueError, match="beyond"):
             visibility(dens, (0.15, 0.25))
 
@@ -295,10 +276,10 @@ class TestSymmetry:
     def test_equal_holes_give_mirror_symmetric_density(self):
         psi_a = single_hole_amplitude(GEOM, Hole.A)
         psi_b = single_hole_amplitude(GEOM, Hole.B)
-        p12 = intensity(superpose(psi_a, psi_b)).values
+        p12 = np.abs(superpose(psi_a, psi_b).values) ** 2
         assert np.max(np.abs(p12 - p12[::-1])) < 1e-12
-        p1 = intensity(psi_a).values
-        p2 = intensity(psi_b).values
+        p1 = np.abs(psi_a.values) ** 2
+        p2 = np.abs(psi_b.values) ** 2
         assert np.max(np.abs(p1 - p2[::-1])) < 1e-12
 
 
@@ -314,9 +295,8 @@ class TestRealDensity:
             RealDensity(GEOM, values, 1.0)  # true integral is 0.4
 
     def test_restrict_renormalizes(self):
-        dens = intensity(
-            superpose(single_hole_amplitude(GEOM, Hole.A), single_hole_amplitude(GEOM, Hole.B))
-        ).normalized()
+        psi = superpose(single_hole_amplitude(GEOM, Hole.A), single_hole_amplitude(GEOM, Hole.B))
+        dens = RealDensity(GEOM, np.abs(psi.values) ** 2, psi.weight)
         sub = dens.restrict(-0.05, 0.05)
         assert sub.total == pytest.approx(1.0, rel=1e-12)
         assert sub.x[0] >= -0.05 - 1e-9 and sub.x[-1] <= 0.05 + 1e-9

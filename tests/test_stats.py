@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slitlab.measurement import IlluminationConfig, IlluminationMode, ensemble_density
+from slitlab.measurement import Illumination, ensemble_density
 from slitlab.optics import RealDensity, SlitGeometry, default_geometry
 from slitlab.stats import (
     CHI2_HALF_PERIODS,
@@ -19,10 +19,8 @@ from slitlab.stats import (
 )
 
 GEOM = default_geometry()
-OFF_DENSITY = ensemble_density(IlluminationConfig(IlluminationMode.OFF), GEOM)
-BOTH_DENSITY = ensemble_density(
-    IlluminationConfig(IlluminationMode.BOTH_HOLES, window_complete=True), GEOM
-)
+OFF_DENSITY = ensemble_density(Illumination.OFF, GEOM)
+BOTH_DENSITY = ensemble_density(Illumination.BOTH_HOLES, GEOM)
 
 
 def unit_interval_density(values=None, grid_points=2001):
