@@ -102,7 +102,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="slitlab", description=__doc__, add_help=True)
+    # No prefixes: _attach_float_values knows only the full flag names.
+    parser = _Parser(prog="slitlab", description=__doc__, add_help=True, allow_abbrev=False)
     parser.add_argument("experiment_pos", nargs="?", metavar="EXPERIMENT",
                         help="one of: " + ", ".join(EXPERIMENTS))
     parser.add_argument("--experiment", help="experiment to run (alternative to the positional)")

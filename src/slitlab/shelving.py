@@ -215,8 +215,8 @@ def detect_jumps(record: PhotonRecord, dark_threshold: float) -> list[tuple[floa
     reaching the record boundaries uses the boundary itself: a record with
     no photons at all is one inferred dark interval spanning (0, total_time).
     """
-    if dark_threshold <= 0:
-        raise ValueError("dark_threshold must be positive")
+    if not (math.isfinite(dark_threshold) and dark_threshold > 0):
+        raise ValueError(f"dark_threshold must be positive and finite, got {dark_threshold!r}")
     times = record.arrival_times
     total = record.total_time
     if total == 0:
@@ -227,13 +227,17 @@ def detect_jumps(record: PhotonRecord, dark_threshold: float) -> list[tuple[floa
     if times[0] > dark_threshold:
         # No photon has been seen since the start; the silence begins there.
         inferred.append((0.0, float(times[0])))
-    gap_start = times[:-1]
+    # Compare the rounded dark start with the gap's end, not the gap length
+    # with the threshold: a gap within an ulp of the threshold would
+    # otherwise give an interval of zero length.
+    dark_start = times[:-1] + dark_threshold
     gap_end = times[1:]
-    long_gaps = (gap_end - gap_start) > dark_threshold
-    for start, end in zip(gap_start[long_gaps], gap_end[long_gaps]):
-        inferred.append((float(start) + dark_threshold, float(end)))
-    if total - times[-1] > dark_threshold:
-        inferred.append((float(times[-1]) + dark_threshold, total))
+    long_gaps = dark_start < gap_end
+    for start, end in zip(dark_start[long_gaps], gap_end[long_gaps]):
+        inferred.append((float(start), float(end)))
+    last_start = float(times[-1]) + dark_threshold
+    if last_start < total:
+        inferred.append((last_start, total))
     return inferred
 
 

@@ -220,6 +220,16 @@ class TestNonFiniteInputs:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["--total", "-1e-3"], ["--total=30"], ["--sep", "5e-6"]])
+def test_flag_prefixes_rejected(tmp_path, capsys, argv):
+    # Only full flag names are known to the negative-value join, so a
+    # prefix is not accepted in any spelling.
+    out = tmp_path / "x"
+    assert main(["shelving", *argv, "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_seed_rejected(tmp_path, capsys, source):
     out = tmp_path / "x"

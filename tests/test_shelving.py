@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slitlab.shelving import (
     IonState,
@@ -149,6 +150,13 @@ class TestPhotonEmission:
         assert a.tobytes() == b.tobytes()
 
 
+@st.composite
+def photon_records(draw):
+    total = draw(st.floats(0.0, 1e3))
+    times = draw(st.lists(st.floats(0.0, total), max_size=40))
+    return PhotonRecord(np.unique(np.asarray(times, dtype=float)), total)
+
+
 class TestDetectJumps:
     def test_empty_record_is_one_long_dark_interval(self):
         record = PhotonRecord(np.empty(0), 10.0)
@@ -172,6 +180,28 @@ class TestDetectJumps:
     def test_short_gaps_are_ignored(self):
         record = PhotonRecord(np.array([0.1, 0.2, 0.3, 0.9]), 1.0)
         assert detect_jumps(record, 0.61) == []
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
+    def test_threshold_must_be_finite(self, threshold):
+        # NaN and inf compare False against every silence, which would
+        # silently report no dark interval at all.
+        with pytest.raises(ValueError, match="dark_threshold must be positive and finite"):
+            detect_jumps(PhotonRecord(np.array([1.0, 2.0]), 3.0), threshold)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(record=photon_records(), threshold=st.floats(0.0, 1e3, exclude_min=True))
+    # A gap one ulp longer than the threshold: start + threshold rounds up
+    # to the next photon.
+    @example(record=PhotonRecord(np.array([1.0, 1.0 + 2**-52]), 1.0 + 2**-52),
+             threshold=0.9 * 2**-52)
+    def test_intervals_are_ordered_disjoint_silences_inside_the_record(self, record, threshold):
+        inferred = detect_jumps(record, threshold)
+        for start, end in inferred:
+            assert 0.0 <= start < end <= record.total_time
+            inside = (record.arrival_times > start) & (record.arrival_times < end)
+            assert not inside.any(), (start, end)
+        for (_, end), (start, _) in zip(inferred, inferred[1:]):
+            assert end <= start
 
 
 class TestDetectorAgainstGroundTruth:

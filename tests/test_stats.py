@@ -1,13 +1,24 @@
-"""Sampler, histogram, and goodness-of-fit calibration checks."""
+"""Sampler, histogram, and goodness-of-fit calibration checks.
+
+``scipy.stats`` is imported here only, as the reference the p-values of
+``slitlab.stats`` must match bit for bit.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from slitlab.measurement import Illumination, ensemble_density
 from slitlab.optics import RealDensity, SlitGeometry, default_geometry
 from slitlab.stats import (
     CHI2_HALF_PERIODS,
     GriddedCdf,
+    Histogram,
     PositionSample,
     chi_square_gof,
     filter_positions,
@@ -201,6 +212,31 @@ class TestChiSquare:
         assert result.dof < 29
         assert result.p_value > 1e-6
 
+    def test_p_value_matches_scipy_stats_bit_for_bit(self):
+        # Uniform density with bins on its grid nodes: equal counts give
+        # statistic 0 (p = 1), and all counts in one bin of the widest table
+        # give a statistic large enough that p underflows to 0.
+        rng = np.random.default_rng(14)
+        statistics, p_values = set(), set()
+        for n_bins in (2, 4, 7, 16, 60):
+            dens = unit_interval_density(grid_points=n_bins + 1)
+            edges = np.linspace(0.0, 1.0, n_bins + 1)
+            n = 50 * n_bins
+            weights = np.linspace(1.0, 3.0, n_bins)
+            for counts in (
+                np.full(n_bins, 50),
+                rng.multinomial(n, np.full(n_bins, 1 / n_bins)),
+                rng.multinomial(n, weights / weights.sum()),
+                rng.multinomial(n, weights**4 / (weights**4).sum()),
+                np.eye(n_bins, dtype=np.int64)[0] * n,
+            ):
+                result = chi_square_gof(Histogram(edges, counts, n), dens)
+                assert result.p_value == float(sps.chi2.sf(result.statistic, result.dof))
+                statistics.add(result.statistic)
+                p_values.add(result.p_value)
+        assert 0.0 in statistics
+        assert 0.0 in p_values
+
 
 class TestWindowedChi2:
     def test_ample_sample_uses_the_finest_bins(self):
@@ -254,6 +290,48 @@ class TestKsExponential:
             ks_exponential(np.ones(20), -1.0)
         with pytest.raises(ValueError, match="positive"):
             ks_exponential(np.concatenate([np.ones(20), [0.0]]), 1.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            ks_exponential(np.ones(20), rate)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_durations_rejected(self, bad):
+        with pytest.raises(ValueError, match="durations must be finite"):
+            ks_exponential(np.concatenate([np.ones(20), [bad]]), 1.0)
+
+    @pytest.mark.parametrize("n", [10, 11, 500, 5000])
+    @pytest.mark.parametrize("drawn_rate", [0.7, 1.05], ids=["tested_rate", "wrong_rate"])
+    def test_matches_scipy_stats_bit_for_bit(self, n, drawn_rate):
+        durations = np.random.default_rng(n).exponential(1 / drawn_rate, size=n)
+        assert_ks_matches_scipy_stats(durations, 0.7)
+
+    def test_all_ties_match_scipy_stats_bit_for_bit(self):
+        assert_ks_matches_scipy_stats(np.full(100, 0.7), 1.0)
+
+
+def assert_ks_matches_scipy_stats(durations, rate):
+    reference = sps.kstest(durations, "expon", args=(0.0, 1.0 / rate), method="asymp")
+    result = ks_exponential(durations, rate)
+    assert (result.statistic, result.p_value) == (
+        float(reference.statistic), float(reference.pvalue)
+    )
+
+
+def test_importing_slitlab_loads_no_scipy_stats():
+    # scipy.stats takes most of a second to import, paid by every run.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, slitlab.cli, slitlab\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]", f"importing slitlab loaded {out.strip()}"
 
 
 class TestFringeVisibilityEstimator:
