@@ -59,8 +59,9 @@ class VSystemRates:
 
     def __post_init__(self) -> None:
         for name in ("fluorescence_rate", "shelve_rate", "deshelve_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         slowest_allowed = MIN_RATE_SEPARATION * max(self.shelve_rate, self.deshelve_rate)
         if self.fluorescence_rate < slowest_allowed:
             raise ValueError(
@@ -146,10 +147,12 @@ class PhotonRecord:
         times = np.asarray(self.arrival_times, dtype=float)
         times.flags.writeable = False
         object.__setattr__(self, "arrival_times", times)
-        if self.total_time < 0:
-            raise ValueError("total_time must be nonnegative")
+        if not math.isfinite(self.total_time) or self.total_time < 0:
+            raise ValueError(f"total_time must be nonnegative and finite, got {self.total_time!r}")
         if times.size:
-            if times.min() < 0 or times.max() > self.total_time:
+            # Written so that a NaN arrival time, which every comparison
+            # fails, is rejected without another pass over the record.
+            if not (times.min() >= 0 and times.max() <= self.total_time):
                 raise ValueError("arrival times must lie within [0, total_time]")
             if np.any(np.diff(times) <= 0):
                 raise ValueError("arrival times must be strictly increasing")

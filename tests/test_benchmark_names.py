@@ -1,21 +1,33 @@
-"""The names the benchmark's tracer wraps must exist.
+"""What the benchmark takes from slitlab by name or by copy must still hold.
 
 ``perfbench/child.py`` looks up each ``(owner, attr)`` pair of its
 ``TRACED`` table with ``getattr`` when run with ``--trace 1``; a renamed
 or deleted function would make the traced benchmark fail.
+``perfbench/run.py`` keeps its own copy of the oracle's node count for
+its computed kernel counts; if the two drift, those counts go wrong
+without any run failing.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+from slitlab import optics
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def load_perfbench(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # its scripts import their siblings
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_name_resolves(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # child.py imports its sibling spans.py
-    spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+    child = load_perfbench(monkeypatch, "child")
     assert child.TRACED
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
@@ -23,3 +35,8 @@ def test_every_traced_name_resolves(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, missing
+
+
+def test_oracle_node_count_copy_matches(monkeypatch):
+    run = load_perfbench(monkeypatch, "run")
+    assert run.ORACLE_NODES_PER_HOLE == optics.ORACLE_NODES_PER_HOLE

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from slitlab import optics
 from slitlab.optics import (
     Hole,
+    QuadratureConvergenceError,
     RealDensity,
     SlitGeometry,
     TransverseAmplitude,
@@ -213,6 +215,69 @@ class TestFresnelOracle:
     def test_no_open_holes_rejected(self):
         with pytest.raises(ValueError):
             fresnel_oracle(GEOM, ())
+
+    def test_repeated_calls_agree(self):
+        first = fresnel_oracle(GEOM, (Hole.A,))
+        second = fresnel_oracle(GEOM, (Hole.A,))
+        np.testing.assert_array_equal(first.values, second.values)
+        assert first.weight == second.weight
+        both = fresnel_oracle(GEOM)
+        np.testing.assert_array_equal(fresnel_oracle(GEOM).values, both.values)
+
+    def test_cached_hole_field_is_read_only(self):
+        field = optics._hole_field(GEOM, Hole.A)
+        assert not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[0] = 0.0
+
+    def test_unconverged_quadrature_raises_every_time(self, monkeypatch):
+        # Four nodes cannot resolve the kernel's phase across the aperture.
+        optics._hole_field.cache_clear()
+        monkeypatch.setattr(optics, "ORACLE_NODES_PER_HOLE", 4)
+        try:
+            for _ in range(2):
+                with pytest.raises(QuadratureConvergenceError, match="hole A.*doubling 4 nodes"):
+                    fresnel_oracle(GEOM)
+        finally:
+            optics._hole_field.cache_clear()
+
+
+def reference_fresnel_field(geom, hole, nodes, screen_block=1024):
+    """The direct kernel that the separable one replaced, kept as its reference.
+
+    One complex exponential per (screen point, node), in blocks of
+    ``screen_block`` screen points.
+    """
+    x = geom.grid
+    lam_l = geom.wavelength_distance
+    width = geom.hole_width(hole)
+    u, w_quad = np.polynomial.legendre.leggauss(nodes)
+    xs = geom.hole_center(hole) + u * (width / 2)
+    w_quad = w_quad * (width / 2)
+    aperture_phase = np.exp(-1j * np.pi * xs**2 / lam_l)
+    amplitude = 1.0 / np.sqrt(geom.hole_width_a + geom.hole_width_b)
+    weighted = amplitude * aperture_phase * w_quad / np.sqrt(lam_l)
+    field = np.empty(x.size, dtype=complex)
+    for start in range(0, x.size, screen_block):
+        kernel = np.exp((2j * np.pi / lam_l) * np.outer(x[start : start + screen_block], xs))
+        field[start : start + screen_block] = kernel @ weighted
+    return field
+
+
+# Five geometries per grid, 20 in all.  2049 and 4099 are not perfect
+# squares, so the last kernel block is padded; 5 points make blocks of two.
+@pytest.mark.parametrize("grid_points", [2048, 2049, 4099, 5])
+def test_separable_kernel_matches_direct_kernel(grid_points):
+    rng = np.random.default_rng(grid_points)
+    for _ in range(5):
+        geom = random_far_field_geometry(rng, grid_points)
+        for hole in Hole:
+            for nodes in (256, 512):
+                expected = reference_fresnel_field(geom, hole, nodes)
+                field = optics._fresnel_field(geom, hole, nodes)
+                assert field.shape == expected.shape
+                err = np.linalg.norm(field - expected) / np.linalg.norm(expected)
+                assert err <= 1e-12, (geom, hole, nodes, err)
 
 
 def random_far_field_geometry(rng, grid_points=2048):

@@ -27,6 +27,14 @@ class TestRates:
         with pytest.raises(ValueError):
             VSystemRates(1e5, -1.0, 1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_finite_rates_rejected(self, value, position):
+        rates = [1e5, 1.0, 1.0]
+        rates[position] = value
+        with pytest.raises(ValueError, match="finite"):
+            VSystemRates(*rates)
+
     def test_timescale_separation_enforced(self):
         with pytest.raises(ValueError, match="100x"):
             VSystemRates(fluorescence_rate=1e3, shelve_rate=50.0, deshelve_rate=1.0)
@@ -118,6 +126,17 @@ class TestPhotonEmission:
             PhotonRecord(np.array([0.2, 0.1]), 1.0)
         with pytest.raises(ValueError, match="within"):
             PhotonRecord(np.array([2.0]), 1.0)
+
+    @pytest.mark.parametrize("times", [[0.1, np.nan, 0.5], [np.nan], [0.1, np.inf], [-np.inf, 0.5]])
+    def test_non_finite_arrival_times_rejected(self, times):
+        with pytest.raises(ValueError, match="within"):
+            PhotonRecord(np.array(times), 1.0)
+
+    @pytest.mark.parametrize("total_time", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("times", [[], [0.5]])
+    def test_non_finite_total_time_rejected(self, times, total_time):
+        with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
+            PhotonRecord(np.array(times, dtype=float), total_time)
 
     def test_equal_arrival_times_are_kept_once(self):
         class PlantedDraws:
