@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,10 @@ VISIBILITY_HALF_PERIODS = 1
 # CSV rows are formatted and written this many at a time, so the writer's
 # memory depends on the block, not on the length of the record.
 CSV_BLOCK_ROWS = 65_536
+
+# Largest sampler footprint a two-hole run may ask for
+# (measurement.sampler_footprint_bytes): 2 GiB, about 6.7e7 electrons.
+MAX_SAMPLER_BYTES = 2 * 2**30
 
 # Float parameters and the flags that set them; each must be finite and positive.
 _FLOAT_FLAGS = {
@@ -217,6 +222,17 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise ConfigError("--n must be at least 1")
     if config.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {config.seed}")
+    if config.experiment in TWO_HOLE_EXPERIMENTS:
+        try:
+            config.geometry()
+        except ValueError as exc:
+            raise ConfigError(f"bad geometry: {exc}") from exc
+        footprint = measurement.sampler_footprint_bytes(config.n_electrons)
+        if footprint > MAX_SAMPLER_BYTES:
+            raise ConfigError(
+                f"--n {config.n_electrons} needs about {footprint / 2**20:.0f} MiB to sample, "
+                f"over the {MAX_SAMPLER_BYTES / 2**20:.0f} MiB cap"
+            )
     return config
 
 
@@ -239,8 +255,10 @@ class _Labels:
         return len(self.codes)
 
 
-# (file name, header, columns) of one CSV artifact.
-_Table = tuple[str, list[str], list]
+# (file name, header, chunks) of one CSV artifact.  The rows arrive as
+# consecutive chunks, each a list of equal-length columns: a table held in
+# memory is one chunk, a stream is read a chunk at a time.
+_Table = tuple[str, list[str], Iterable[list]]
 
 
 def _cells(column, start: int, stop: int):
@@ -254,19 +272,23 @@ def _cells(column, start: int, stop: int):
     return map(_fmt, block)
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns under a header, one block of rows at a time."""
-    n_rows = len(columns[0])
-    if any(len(column) != n_rows for column in columns):
-        raise ValueError(f"{path.name}: columns differ in length")
+def _write_csv(path: Path, header: list[str], chunks: Iterable[list]) -> None:
+    """Write a table's chunks under a header, in blocks of at most CSV_BLOCK_ROWS rows.
+
+    The bytes written do not depend on where the chunks end.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            cells = [_cells(column, start, stop) for column in columns]
-            rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-            fh.write("\n".join(rows))
-            fh.write("\n")
+        for columns in chunks:
+            n_rows = len(columns[0])
+            if any(len(column) != n_rows for column in columns):
+                raise ValueError(f"{path.name}: columns differ in length")
+            for start in range(0, n_rows, CSV_BLOCK_ROWS):
+                stop = min(start + CSV_BLOCK_ROWS, n_rows)
+                cells = [_cells(column, start, stop) for column in columns]
+                rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+                fh.write("\n".join(rows))
+                fh.write("\n")
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -301,12 +323,11 @@ def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
     )
 
     period = geom.fringe_period
-    try:
-        visibility_sampled = stats.fringe_visibility_from_positions(
-            stats.PositionSample(positions, geom)
-        )
-    except ValueError:  # no arrival in the central window
-        visibility_sampled = None
+    sample = stats.PositionSample(positions, geom)
+    window_arrivals = stats.visibility_window(sample).size
+    visibility_sampled = (
+        stats.fringe_visibility_from_positions(sample) if window_arrivals else None
+    )
     chi2, n_bins = stats.windowed_chi2(positions, density)
     summary = {
         "experiment": config.experiment,
@@ -314,6 +335,8 @@ def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
         "seed": config.seed,
         "visibility_analytic": visibility(density, (-period, period)),
         "visibility_sampled": visibility_sampled,
+        "visibility_window_arrivals": window_arrivals,
+        "visibility_noise_floor": 2 / math.sqrt(window_arrivals) if window_arrivals else None,
         "chi2_bins": n_bins,
     }
     for field in ("statistic", "dof", "p_value"):
@@ -338,19 +361,39 @@ def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
         sample_columns.append(_Labels(tuple(tag.value for tag in OUTCOME_ORDER), outcome_index))
         sample_header.append("outcome")
     tables = [
-        ("density.csv", density_header, density_columns),
-        ("samples.csv", sample_header, sample_columns),
+        ("density.csv", density_header, [density_columns]),
+        ("samples.csv", sample_header, [sample_columns]),
     ]
     return summary, tables
 
 
 def _run_shelving(config: RunConfig) -> tuple[dict, list[_Table]]:
+    """The photon record is drawn twice from one generator state, dwell by
+    dwell: once through the detector, counting photons, and again into
+    photons.csv once the directory exists.  Memory is bounded by the
+    longest bright dwell, not by the length of the record."""
     rates = shelving.default_rates()
     threshold = shelving.default_dark_threshold(rates)
     rng = np.random.default_rng(config.seed)
     traj = shelving.simulate_trajectory(rates, config.total_time, rng)
-    record = shelving.emit_photons(traj, rates, rng)
-    inferred = shelving.detect_jumps(record, threshold)
+    photon_state = rng.bit_generator.state
+
+    def draw_photons():
+        replay = np.random.default_rng(config.seed)
+        replay.bit_generator.state = photon_state
+        return shelving.photon_chunks(traj, rates, replay)
+
+    n_photons = 0
+
+    def counted(chunks):
+        nonlocal n_photons
+        for chunk in chunks:
+            n_photons += chunk.size
+            yield chunk
+
+    inferred = shelving.detect_jumps_in_chunks(
+        counted(draw_photons()), traj.total_time, threshold
+    )
     score = shelving.score_detections(traj, inferred, threshold)
 
     bright = traj.durations(shelving.IonState.BRIGHT)
@@ -363,7 +406,7 @@ def _run_shelving(config: RunConfig) -> tuple[dict, list[_Table]]:
         "shelve_rate_per_s": rates.shelve_rate,
         "deshelve_rate_per_s": rates.deshelve_rate,
         "dark_threshold_s": threshold,
-        "n_photons": int(record.arrival_times.size),
+        "n_photons": n_photons,
         "n_complete_bright": int(bright.size),
         "n_complete_dark": int(dark.size),
         "mean_bright_s": float(bright.mean()) if bright.size else None,
@@ -383,10 +426,10 @@ def _run_shelving(config: RunConfig) -> tuple[dict, list[_Table]]:
     absolute = traj.absolute_intervals()
     tables = [
         ("trajectory.csv", ["state", "start_s", "duration_s"],
-         [[s.value for s, _, _ in absolute],
-          [t0 for _, t0, _ in absolute],
-          [t1 - t0 for _, t0, t1 in absolute]]),
-        ("photons.csv", ["arrival_time_s"], [record.arrival_times]),
+         [[[s.value for s, _, _ in absolute],
+           [t0 for _, t0, _ in absolute],
+           [t1 - t0 for _, t0, t1 in absolute]]]),
+        ("photons.csv", ["arrival_time_s"], ([chunk] for chunk in draw_photons())),
     ]
     return summary, tables
 
@@ -396,6 +439,9 @@ def run(config: RunConfig) -> None:
 
     Every check and computation finishes before the directory is created,
     so a run that fails anywhere but in the writing leaves no directory.
+    Shelving's photon record, too large to keep, is drawn a second time
+    while photons.csv is written, from the generator state that already
+    passed every check.
     """
     if config.experiment in TWO_HOLE_EXPERIMENTS:
         summary, tables = _run_two_hole(config)
@@ -433,8 +479,8 @@ def run(config: RunConfig) -> None:
 
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    for name, header, columns in tables:
-        _write_csv(out / name, header, columns)
+    for name, header, chunks in tables:
+        _write_csv(out / name, header, chunks)
     _write_config_echo(out / "config_resolved.txt", echo)
     _write_summary(out / "summary.json", summary)
 
@@ -447,12 +493,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (QuadratureConvergenceError, ArithmeticError) as exc:
+    except (QuadratureConvergenceError, ArithmeticError, ValueError) as exc:
+        # parse_args has accepted the whole config, so a bad value met
+        # after it is a numerical failure, not a config error.
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     except OSError as exc:
         print(f"error: io failure: {exc}", file=sys.stderr)
         return EXIT_IO

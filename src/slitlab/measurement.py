@@ -35,6 +35,7 @@ __all__ = [
     "ensemble_density",
     "outcome_probabilities",
     "sample_arrivals",
+    "sampler_footprint_bytes",
 ]
 
 
@@ -111,6 +112,17 @@ def outcome_probabilities(
         1.0 - sum(probs.values()) if OutcomeTag.NOT_SEEN in branches else 0.0
     )
     return probs
+
+
+# sample_arrivals holds three n-long arrays of 8-byte values together (the
+# outcome indices, the position uniforms and the positions), plus one
+# outcome's gathered uniforms and their positions while that outcome is placed.
+SAMPLER_BYTES_PER_ELECTRON = 32
+
+
+def sampler_footprint_bytes(n: int) -> int:
+    """Estimated peak memory of ``sample_arrivals`` for ``n`` electrons."""
+    return SAMPLER_BYTES_PER_ELECTRON * n
 
 
 def sample_arrivals(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,9 @@ __all__ = [
     "default_dark_threshold",
     "default_rates",
     "detect_jumps",
+    "detect_jumps_in_chunks",
     "emit_photons",
+    "photon_chunks",
     "score_detections",
     "simulate_trajectory",
 ]
@@ -136,6 +139,23 @@ class TelegraphTrajectory:
         return dark / self.total_time
 
 
+def _check_total_time(total_time: float) -> None:
+    if not math.isfinite(total_time) or total_time < 0:
+        raise ValueError(f"total_time must be nonnegative and finite, got {total_time!r}")
+
+
+def _check_arrivals(times: np.ndarray, total_time: float, after: float = -math.inf) -> None:
+    """Arrival times must lie within [0, total_time] and rise strictly, also
+    from ``after``, the last arrival before them."""
+    if times.size:
+        # Written so that a NaN arrival time, which every comparison
+        # fails, is rejected without another pass over the times.
+        if not (times.min() >= 0 and times.max() <= total_time):
+            raise ValueError("arrival times must lie within [0, total_time]")
+        if not times[0] > after or np.any(np.diff(times) <= 0):
+            raise ValueError("arrival times must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class PhotonRecord:
     """Strictly increasing fluorescence arrival times within [0, total_time]."""
@@ -147,15 +167,8 @@ class PhotonRecord:
         times = np.asarray(self.arrival_times, dtype=float)
         times.flags.writeable = False
         object.__setattr__(self, "arrival_times", times)
-        if not math.isfinite(self.total_time) or self.total_time < 0:
-            raise ValueError(f"total_time must be nonnegative and finite, got {self.total_time!r}")
-        if times.size:
-            # Written so that a NaN arrival time, which every comparison
-            # fails, is rejected without another pass over the record.
-            if not (times.min() >= 0 and times.max() <= self.total_time):
-                raise ValueError("arrival times must lie within [0, total_time]")
-            if np.any(np.diff(times) <= 0):
-                raise ValueError("arrival times must be strictly increasing")
+        _check_total_time(self.total_time)
+        _check_arrivals(times, self.total_time)
 
 
 def simulate_trajectory(
@@ -182,35 +195,61 @@ def simulate_trajectory(
     return TelegraphTrajectory(tuple(intervals), total_time)
 
 
-def emit_photons(
+def photon_chunks(
     traj: TelegraphTrajectory, rates: VSystemRates, rng: np.random.Generator
-) -> PhotonRecord:
-    """Poisson photon stream: rate ``fluorescence_rate`` while bright, silence
-    while dark.
+) -> Iterator[np.ndarray]:
+    """Poisson photon stream, one array per bright dwell: rate
+    ``fluorescence_rate`` while bright, silence while dark.
 
-    Per bright interval the count is Poisson and the arrivals are placed
+    Per bright dwell the count is Poisson and the arrivals are placed
     uniformly (the conditional law of a homogeneous Poisson process).
-    Arrivals that round to the same double are kept once.
+    Arrivals that round to the same double are kept once, within a dwell
+    and across dwells.  Each chunk passes ``PhotonRecord``'s checks and
+    starts after the previous chunk's last arrival, so the chunks join into
+    a valid record; a dwell left without photons yields nothing.  Memory
+    is set by the longest bright dwell, not by ``total_time``.
     """
-    chunks = []
+    _check_total_time(traj.total_time)
+    last = -math.inf
     for state, start, end in traj.absolute_intervals():
         if state is not IonState.BRIGHT:
             continue
         duration = end - start
         count = int(rng.poisson(rates.fluorescence_rate * duration))
-        if count:
-            chunks.append(start + np.sort(rng.random(count)) * duration)
+        if not count:
+            continue
+        times = start + np.sort(rng.random(count)) * duration
+        # Sorted, so equal times can only be neighbours; the first is
+        # compared with the previous dwell's last arrival.
+        distinct = np.empty(count, dtype=bool)
+        distinct[0] = times[0] != last
+        np.not_equal(times[1:], times[:-1], out=distinct[1:])
+        if not distinct.all():
+            times = times[distinct]
+        if times.size:
+            _check_arrivals(times, traj.total_time, after=last)
+            last = times[-1]
+            yield times
+
+
+def emit_photons(
+    traj: TelegraphTrajectory, rates: VSystemRates, rng: np.random.Generator
+) -> PhotonRecord:
+    """The whole record of ``photon_chunks`` as one array."""
+    chunks = list(photon_chunks(traj, rates, rng))
     times = np.concatenate(chunks) if chunks else np.empty(0, dtype=float)
-    # Each chunk is sorted and the chunks follow the dwells, so the record is
-    # already in order and equal times can only be neighbours.
-    distinct = np.empty(times.size, dtype=bool)
-    distinct[:1] = True
-    np.not_equal(times[1:], times[:-1], out=distinct[1:])
-    return PhotonRecord(times[distinct], traj.total_time)
+    return PhotonRecord(times, traj.total_time)
 
 
-def detect_jumps(record: PhotonRecord, dark_threshold: float) -> list[tuple[float, float]]:
+def detect_jumps_in_chunks(
+    chunks: Iterable[np.ndarray], total_time: float, dark_threshold: float
+) -> list[tuple[float, float]]:
     """Infer dark intervals purely from photon silences longer than the threshold.
+
+    ``chunks`` are consecutive pieces of one record's arrival times, read
+    once and in order; only the last arrival time is carried from one
+    chunk to the next, so a record of any length runs in the memory of its
+    largest chunk.
 
     A silence observed between photons is declared dark starting at
     last_photon + dark_threshold - the inference is only available once the
@@ -220,28 +259,37 @@ def detect_jumps(record: PhotonRecord, dark_threshold: float) -> list[tuple[floa
     """
     if not (math.isfinite(dark_threshold) and dark_threshold > 0):
         raise ValueError(f"dark_threshold must be positive and finite, got {dark_threshold!r}")
-    times = record.arrival_times
-    total = record.total_time
-    if total == 0:
-        return []
-    if times.size == 0:
-        return [(0.0, total)] if total > dark_threshold else []
+    _check_total_time(total_time)
     inferred: list[tuple[float, float]] = []
-    if times[0] > dark_threshold:
-        # No photon has been seen since the start; the silence begins there.
-        inferred.append((0.0, float(times[0])))
-    # Compare the rounded dark start with the gap's end, not the gap length
-    # with the threshold: a gap within an ulp of the threshold would
-    # otherwise give an interval of zero length.
-    dark_start = times[:-1] + dark_threshold
-    gap_end = times[1:]
-    long_gaps = dark_start < gap_end
-    for start, end in zip(dark_start[long_gaps], gap_end[long_gaps]):
-        inferred.append((float(start), float(end)))
-    last_start = float(times[-1]) + dark_threshold
-    if last_start < total:
-        inferred.append((last_start, total))
+    last = None
+    for times in chunks:
+        if not times.size:
+            continue
+        first = float(times[0])
+        if last is None:
+            if first > dark_threshold:
+                # No photon has been seen since the start; the silence begins there.
+                inferred.append((0.0, first))
+        elif last + dark_threshold < first:
+            inferred.append((last + dark_threshold, first))
+        # Compare the rounded dark start with the gap's end, not the gap
+        # length with the threshold: a gap within an ulp of the threshold
+        # would otherwise give an interval of zero length.
+        dark_start = times[:-1] + dark_threshold
+        gap_end = times[1:]
+        long_gaps = dark_start < gap_end
+        inferred.extend(zip(dark_start[long_gaps].tolist(), gap_end[long_gaps].tolist()))
+        last = float(times[-1])
+    if last is None:
+        return [(0.0, total_time)] if total_time > dark_threshold else []
+    if last + dark_threshold < total_time:
+        inferred.append((last + dark_threshold, total_time))
     return inferred
+
+
+def detect_jumps(record: PhotonRecord, dark_threshold: float) -> list[tuple[float, float]]:
+    """``detect_jumps_in_chunks`` over a whole record held as one chunk."""
+    return detect_jumps_in_chunks([record.arrival_times], record.total_time, dark_threshold)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ __all__ = [
     "histogram",
     "ks_exponential",
     "sample_positions",
+    "visibility_window",
     "windowed_chi2",
 ]
 
@@ -40,7 +41,7 @@ MIN_EXPECTED_PER_BIN = 5.0
 CHI2_HALF_PERIODS = 6
 CHI2_BIN_LADDER = (96, 64, 48, 32, 24, 16, 12, 8)
 # fringe_visibility_from_positions reads the arrivals within
-# +-VISIBILITY_HALF_PERIODS fringe periods.
+# +-VISIBILITY_HALF_PERIODS fringe periods (visibility_window).
 VISIBILITY_HALF_PERIODS = 3
 
 
@@ -256,6 +257,12 @@ def ks_exponential(durations, rate: float) -> KsResult:
     return KsResult(float(statistic), float(p_value))
 
 
+def visibility_window(sample: PositionSample) -> np.ndarray:
+    """The positions within ±``VISIBILITY_HALF_PERIODS`` fringe periods of the axis."""
+    half = VISIBILITY_HALF_PERIODS * sample.geometry.fringe_period
+    return sample.positions[np.abs(sample.positions) <= half]
+
+
 def fringe_visibility_from_positions(sample: PositionSample) -> float:
     """Fringe contrast of sampled arrivals from their first harmonic.
 
@@ -267,9 +274,7 @@ def fringe_visibility_from_positions(sample: PositionSample) -> float:
     under Poisson counting noise at these sample sizes.
     """
     period = sample.geometry.fringe_period
-    half = VISIBILITY_HALF_PERIODS * period
-    positions = sample.positions
-    selected = positions[np.abs(positions) <= half]
+    selected = visibility_window(sample)
     if selected.size == 0:
         raise ValueError("no positions inside the central fringe window")
     phases = 2 * np.pi * selected / period

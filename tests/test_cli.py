@@ -136,6 +136,22 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_bad_geometry_is_rejected_by_parse_args(self):
+        with pytest.raises(ConfigError, match="bad geometry: holes overlap"):
+            parse_args(["g2", "--out", "x", "--hole-width", "1e-3"])
+
+    def test_geometry_flags_do_not_reach_shelving(self):
+        # shelving has no geometry, so its unused defaults are not checked
+        assert parse_args(["shelving", "--out", "x", "--hole-width", "1e-3"]).total_time == 30.0
+
+    def test_value_error_inside_run_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        def reject(config):
+            raise ValueError("synthetic bad value after parsing")
+
+        monkeypatch.setattr(cli, "run", reject)
+        assert main(["g1", "--out", str(tmp_path / "x")]) == 2
+        assert "numerical failure: synthetic bad value" in capsys.readouterr().err
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
@@ -246,7 +262,7 @@ def test_negative_seed_rejected(tmp_path, capsys, source):
 
 
 @pytest.mark.parametrize("argv", [
-    ["g1", "--hole-width", "1e-3"],  # holes overlap: SlitGeometry fails inside run
+    ["g1", "--hole-width", "1e-3"],  # holes overlap: parse_args builds the SlitGeometry
     ["g3", "--hole-width", "1e-3"],
     ["g1", "--wavelength", "nan"],
     ["g1", "--separation", "inf"],
@@ -254,6 +270,44 @@ def test_negative_seed_rejected(tmp_path, capsys, source):
 def test_failed_run_leaves_no_output_directory(tmp_path, argv):
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) != 0
+    assert not out.exists()
+
+
+class TestSamplerMemoryCap:
+    # The largest --n whose sampler footprint fits under the cap.
+    LARGEST_N = cli.MAX_SAMPLER_BYTES // cli.measurement.SAMPLER_BYTES_PER_ELECTRON
+
+    def test_estimate_is_linear_in_n(self):
+        assert cli.measurement.sampler_footprint_bytes(1) == 32
+        assert cli.measurement.sampler_footprint_bytes(10**6) == 32 * 10**6
+
+    @pytest.mark.parametrize("experiment", cli.TWO_HOLE_EXPERIMENTS)
+    def test_n_over_the_cap_is_rejected_by_parse_args(self, experiment):
+        assert parse_args([experiment, "--out", "x", "--n", str(self.LARGEST_N)])
+        with pytest.raises(ConfigError, match=r"--n \d+ needs about 2048 MiB to sample, "
+                                               r"over the 2048 MiB cap"):
+            parse_args([experiment, "--out", "x", "--n", str(self.LARGEST_N + 1)])
+
+    def test_n_over_the_cap_exits_1_without_output(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["g1", "--n", str(10**12), "--out", str(out)]) == 1
+        assert "MiB cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shelving_ignores_n(self):
+        assert parse_args(["shelving", "--out", "x", "--n", str(10**12)]).experiment == "shelving"
+
+
+def test_failed_shelving_stream_leaves_no_output_directory(tmp_path, monkeypatch, capsys):
+    # The photon stream is checked in full on its first pass, before mkdir.
+    def failing_stream(traj, rates, rng):
+        yield np.array([0.5])
+        raise ValueError("arrival times must be strictly increasing")
+
+    monkeypatch.setattr(cli.shelving, "photon_chunks", failing_stream)
+    out = tmp_path / "run"
+    assert main(["shelving", "--total-time", "2", "--out", str(out)]) == 2
+    assert "numerical failure: arrival times must be strictly increasing" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -280,6 +334,14 @@ def test_small_runs_complete_with_null_statistics(tmp_path, experiment, n):
     for key, value in summary.items():
         if key.startswith("chi2_p_value") and value is not None:
             assert 0.0 <= value <= 1.0
+    # The sampled visibility reads far above 1 at small --n; the noise
+    # floor beside it says by how much it can be trusted.
+    arrivals = summary["visibility_window_arrivals"]
+    assert 0 <= arrivals <= int(n)
+    if arrivals:
+        assert summary["visibility_noise_floor"] == 2 / arrivals**0.5
+    else:
+        assert summary["visibility_sampled"] is summary["visibility_noise_floor"] is None
 
 
 def test_visibility_sampled_is_null_without_central_arrivals(tmp_path, monkeypatch):
@@ -292,6 +354,8 @@ def test_visibility_sampled_is_null_without_central_arrivals(tmp_path, monkeypat
     assert main(["g1", "--n", "1", "--out", str(out)]) == 0
     summary = read_summary(out)
     assert summary["visibility_sampled"] is None
+    assert summary["visibility_window_arrivals"] == 0
+    assert summary["visibility_noise_floor"] is None
     assert summary["chi2_p_value"] is None
 
 
@@ -302,22 +366,22 @@ PINNED_SHA256 = {
     "g1": {
         "density.csv": "dc7c0a5dc35c2611844d5eace004a9300c4ec506bc18d0df2d351981ad8763a8",
         "samples.csv": "472afa10de4f24be412d8ff5e93ff809f09743a902af673a68937952e63d4e4c",
-        "summary.json": "22aa7b95b3803acc0e847dfda141f591700445f5b1f2fa8b0ecffa8090908eb8",
+        "summary.json": "d33e903b49747ebfb932fc23563651aebde0cd5734c1f7e11ab8dc61b894c2bc",
     },
     "g2": {
         "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
         "samples.csv": "7ce0f45eee4e2de8c4f3242717743416bbfc03f55244a29ca4781404305ba1ff",
-        "summary.json": "725fc65a0e68cfb422989160dfcd4c753f709b4c4c4a2e2c40e11775c6d63d2d",
+        "summary.json": "7fc01864c69d33c40d0b1bf47c19af108caf951c3ec5ba63e928220298e1dd0f",
     },
     "g3": {
         "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
         "samples.csv": "a39c16f4ccc0fb8c1e21594c11a09f28f3e8523f16ddc86602d03c0e4a991d8e",
-        "summary.json": "4fc47acbdeed05d2f0f0f52b9517c8776a9c86626d19fa9d5c19ef7877674d8f",
+        "summary.json": "71007507f8c8cb5ff980e8f551e593e23148c5143186dff9a280d24c28cb57d4",
     },
     "g3_early_off": {
         "density.csv": "dc7c0a5dc35c2611844d5eace004a9300c4ec506bc18d0df2d351981ad8763a8",
         "samples.csv": "472afa10de4f24be412d8ff5e93ff809f09743a902af673a68937952e63d4e4c",
-        "summary.json": "f732052e3e732055a4c9be790a691d5953943532d0214a412ff8da5eeaf57d7a",
+        "summary.json": "1192e1ec8fd90e64eb7ed4357c58afde5f19339bff074a2b46078b86938b35cd",
     },
 }
 
@@ -330,6 +394,36 @@ def test_artifacts_match_pinned_digests(tmp_path, experiment):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of the shelving artifacts at --total-time 10, taken from the
+# whole-record emit_photons -> detect_jumps pipeline before the photon
+# record was streamed dwell by dwell.
+SHELVING_PINNED_SHA256 = {
+    7: {
+        "trajectory.csv": "505efc386838726737ffe48b66f56d230100fa4e841ad525b00dc17177163973",
+        "photons.csv": "af270c92d792b1f6e7dd002fda48394fe878abdd62bcedc5130222c9010eb05a",
+        "summary.json": "b7fc818d5b75f32f2c159688af00ad0e914a79a71869e333deec75e7a8db0983",
+    },
+    31: {
+        "trajectory.csv": "882c7b60a18ee8318331407f5b5ab6b95f6af03cc2b0c8de712efc4036a757ac",
+        "photons.csv": "3fc4ce0f11b2141f3b8dd0a76a93f23f684c61bd7f6e033235c7698893399dfe",
+        "summary.json": "e381b3aaa1b67212aa59b862136fadbdefe284fe91b6064fabc550b5722353d9",
+    },
+    1234: {
+        "trajectory.csv": "29961adfd56d706a5b0a34aa1b3aa9cdb07f863fc56c364a290a1ae322833a16",
+        "photons.csv": "29602aa141f73af69eb1124c0c51683cc51de07b43fb9701c6dc27fa356c4930",
+        "summary.json": "3e9521c68708ef2d49077e5daa2fcdd193aa014f9bb757c8de4f593ced156adf",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SHELVING_PINNED_SHA256))
+def test_shelving_artifacts_match_pinned_digests(tmp_path, seed):
+    out = tmp_path / "shelving"
+    assert main(["shelving", "--total-time", "10", "--seed", str(seed), "--out", str(out)]) == 0
+    for name, digest in SHELVING_PINNED_SHA256[seed].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def reference_fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -338,13 +432,17 @@ def reference_fmt(value) -> str:
     return str(value)
 
 
-def reference_write_csv(path, header, columns) -> None:
-    """The per-cell writer that the column-wise one replaced, kept as its reference."""
-    columns = [[column.names[i] for i in column.codes] if isinstance(column, cli._Labels)
-               else column for column in columns]
+def reference_write_csv(path, header, chunks) -> None:
+    """The per-cell writer that the column-wise one replaced, kept as its reference.
+
+    It reads every row of every chunk before writing any.
+    """
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(reference_fmt(v) for v in row))
+    for columns in chunks:
+        columns = [[column.names[i] for i in column.codes] if isinstance(column, cli._Labels)
+                   else column for column in columns]
+        for row in zip(*columns):
+            lines.append(",".join(reference_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", newline="")
 
 
@@ -372,8 +470,8 @@ def test_artifacts_match_the_per_cell_writer(tmp_path, monkeypatch, argv):
 
 
 def assert_writers_agree(tmp_path, header, columns):
-    cli._write_csv(tmp_path / "new.csv", header, columns)
-    reference_write_csv(tmp_path / "reference.csv", header, columns)
+    cli._write_csv(tmp_path / "new.csv", header, [columns])
+    reference_write_csv(tmp_path / "reference.csv", header, [columns])
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "reference.csv").read_bytes()
     return new
@@ -406,3 +504,17 @@ def test_writer_matches_reference_on_edge_cells(tmp_path):
     assert rows[4].split(",")[:2] == ["5e-324", "5e-324"]
     assert rows[2].split(",")[:2] == ["1e-05", "1e-05"]
     assert rows[3].split(",")[:2] == ["1e+16", "1e+16"]
+
+
+def test_chunk_edges_do_not_change_the_bytes(tmp_path):
+    n_rows = cli.CSV_BLOCK_ROWS + 10
+    rng = np.random.default_rng(3)
+    floats = rng.standard_normal(n_rows)
+    labels = cli._Labels(("bright", "dark"), rng.integers(0, 2, n_rows))
+    whole = assert_writers_agree(tmp_path, ["t", "state"], [floats, labels])
+    # an empty first chunk, an empty chunk in the middle, one longer than a block, an empty tail
+    cuts = [0, 0, 5, 5, cli.CSV_BLOCK_ROWS + 7, n_rows, n_rows]
+    chunks = [[floats[a:b], cli._Labels(labels.names, labels.codes[a:b])]
+              for a, b in zip(cuts, cuts[1:])]
+    cli._write_csv(tmp_path / "chunked.csv", ["t", "state"], iter(chunks))
+    assert (tmp_path / "chunked.csv").read_bytes() == whole

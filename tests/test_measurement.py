@@ -1,5 +1,7 @@
 """Collapse semantics and screen densities for the four illumination regimes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from slitlab.measurement import (
     ensemble_density,
     outcome_probabilities,
     sample_arrivals,
+    sampler_footprint_bytes,
 )
 from slitlab.optics import (
     Hole,
@@ -227,3 +230,18 @@ class TestMeasurementProperties:
             drawn = {OUTCOME_ORDER[i] for i in np.unique(index)}
             assert all(probs[tag] > 0 for tag in drawn), (config, drawn)
             assert positions.shape == (2000,)
+
+
+@pytest.mark.parametrize("illumination", Illumination)
+def test_sampler_footprint_estimate_covers_sample_arrivals(illumination):
+    # The CLI's --n cap reads this estimate; the sampler's traced peak must
+    # not exceed it by more than the per-outcome masks.
+    sample_arrivals(illumination, GEOM, 10, np.random.default_rng(0))  # densities cached
+    n = 200_000
+    tracemalloc.start()
+    try:
+        sample_arrivals(illumination, GEOM, n, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sampler_footprint_bytes(n)

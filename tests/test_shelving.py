@@ -1,5 +1,7 @@
 """Telegraph trajectory laws and the photon-silence jump detector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +15,9 @@ from slitlab.shelving import (
     default_dark_threshold,
     default_rates,
     detect_jumps,
+    detect_jumps_in_chunks,
     emit_photons,
+    photon_chunks,
     score_detections,
     simulate_trajectory,
 )
@@ -100,6 +104,25 @@ class TestTrajectory:
         assert a.intervals == b.intervals
 
 
+class PlantedDraws:
+    """Hands the photon stream fixed uniform draws, repeats included."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def poisson(self, mean):
+        return len(self.draws[0])
+
+    def random(self, count):
+        return self.draws.pop(0)
+
+
+# Two bright dwells around a dark one too short to move the clock: the
+# second dwell starts exactly where the first one ends.
+ABUTTING_DWELLS = TelegraphTrajectory(
+    ((IonState.BRIGHT, 1.0), (IonState.DARK, 1e-17), (IonState.BRIGHT, 1.0)), 2.0)
+
+
 class TestPhotonEmission:
     def test_dark_trajectory_emits_nothing(self):
         traj = TelegraphTrajectory(((IonState.DARK, 10.0),), 10.0)
@@ -139,18 +162,6 @@ class TestPhotonEmission:
             PhotonRecord(np.array(times, dtype=float), total_time)
 
     def test_equal_arrival_times_are_kept_once(self):
-        class PlantedDraws:
-            """Hands emit_photons fixed uniform draws, repeats included."""
-
-            def __init__(self, draws):
-                self.draws = list(draws)
-
-            def poisson(self, mean):
-                return len(self.draws[0])
-
-            def random(self, count):
-                return self.draws.pop(0)
-
         draws = [np.array([0.75, 0.25, 0.5, 0.25, 0.5, 0.5, 0.0]),
                  np.array([0.0, 0.0, 0.1, 0.9, 0.9])]
         traj = TelegraphTrajectory(
@@ -160,6 +171,63 @@ class TestPhotonEmission:
             [start + np.sort(u) * 1.0 for start, u in zip((0.0, 1.5), draws)]))
         assert record.arrival_times.size == 7 < sum(len(u) for u in draws)
         assert record.arrival_times.tobytes() == expected.tobytes()
+
+    def test_equal_arrival_times_across_dwells_are_kept_once(self):
+        draws = [np.array([0.5, 1.0]), np.array([0.0, 0.5])]
+        chunks = list(photon_chunks(ABUTTING_DWELLS, default_rates(), PlantedDraws(draws)))
+        assert [chunk.tolist() for chunk in chunks] == [[0.5, 1.0], [1.5]]
+        record = emit_photons(ABUTTING_DWELLS, default_rates(), PlantedDraws(draws))
+        assert record.arrival_times.tolist() == [0.5, 1.0, 1.5]
+
+    @pytest.mark.parametrize("second, message", [
+        (np.array([0.25, 1.25]), "within"),  # past the end of the record
+        (np.array([np.nan]), "within"),
+        (np.array([-0.75]), "strictly increasing"),  # before the first dwell's last photon
+    ])
+    def test_every_chunk_is_checked(self, second, message):
+        chunks = photon_chunks(ABUTTING_DWELLS, default_rates(),
+                               PlantedDraws([np.array([0.5]), second]))
+        assert next(chunks).tolist() == [0.5]
+        with pytest.raises(ValueError, match=message):
+            next(chunks)
+
+    def test_non_finite_total_time_rejected_by_the_stream(self):
+        # The durations-sum check compares against NaN, which never fails.
+        traj = TelegraphTrajectory(((IonState.BRIGHT, 1.0),), float("nan"))
+        with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
+            next(photon_chunks(traj, default_rates(), np.random.default_rng(0)))
+
+    def test_chunks_join_into_the_record(self):
+        rates = default_rates()
+        traj = simulate_trajectory(rates, 20.0, np.random.default_rng(5))
+        chunks = list(photon_chunks(traj, rates, np.random.default_rng(6)))
+        record = emit_photons(traj, rates, np.random.default_rng(6))
+        bright = sum(1 for state, _ in traj.intervals if state is IonState.BRIGHT)
+        assert 1 < len(chunks) <= bright
+        assert all(a[-1] < b[0] for a, b in zip(chunks, chunks[1:]))
+        assert np.concatenate(chunks).tobytes() == record.arrival_times.tobytes()
+
+    def test_stream_memory_does_not_grow_with_the_record(self):
+        # The stream holds one bright dwell at a time, so its peak follows
+        # the longest dwell (a few seconds at most here), not total_time.
+        # The whole 300 s record is ~1e7 photons, 76 MiB as one array alone.
+        rates = default_rates()
+        threshold = default_dark_threshold(rates)
+        peaks = {}
+        for total_time in (30.0, 300.0):
+            rng = np.random.default_rng(0)
+            traj = simulate_trajectory(rates, total_time, rng)
+            photon_state = rng.bit_generator.state
+            longest = max(chunk.size for chunk in photon_chunks(traj, rates, rng))
+            rng.bit_generator.state = photon_state
+            tracemalloc.start()
+            try:
+                detect_jumps_in_chunks(photon_chunks(traj, rates, rng), total_time, threshold)
+                peaks[total_time] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peaks[total_time] < 40 * longest + 2**20
+        assert peaks[300.0] - peaks[30.0] < 16 * 2**20
 
     def test_seed_determinism(self):
         rates = default_rates()
@@ -221,6 +289,71 @@ class TestDetectJumps:
             assert not inside.any(), (start, end)
         for (_, end), (start, _) in zip(inferred, inferred[1:]):
             assert end <= start
+
+
+@st.composite
+def chunked_records(draw):
+    """A record and its arrivals cut into chunks at random edges.
+
+    Repeated and end cuts give empty chunks, empty tails included; an
+    edge may repeat the last arrival before it at the start of the next
+    chunk, a zero gap that must change nothing.
+    """
+    record = draw(photon_records())
+    times = record.arrival_times
+    cuts = sorted(draw(st.lists(st.integers(0, times.size), max_size=6)))
+    chunks = []
+    last = None
+    for piece in np.split(times, cuts):
+        if last is not None and draw(st.booleans()):
+            piece = np.concatenate(([last], piece))
+        chunks.append(piece)
+        if piece.size:
+            last = piece[-1]
+    return record, chunks
+
+
+ULP = 2**-52
+
+
+class TestChunkedDetector:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=chunked_records(), threshold=st.floats(0.0, 1e3, exclude_min=True))
+    # A gap one ulp longer than the threshold, across an edge: start +
+    # threshold rounds up to the next photon, so no interval.
+    @example(case=(PhotonRecord(np.array([1.0, 1.0 + ULP]), 2.0),
+                   [np.array([1.0]), np.array([1.0 + ULP])]), threshold=0.9 * ULP)
+    # The same gap, with the threshold one ulp shorter than it.
+    @example(case=(PhotonRecord(np.array([1.0, 1.0 + 2 * ULP]), 2.0),
+                   [np.array([1.0]), np.array([1.0 + 2 * ULP])]), threshold=ULP)
+    # A duplicate arrival across an edge, and empty tails.
+    @example(case=(PhotonRecord(np.array([0.5, 1.0, 2.5]), 4.0),
+                   [np.array([0.5, 1.0]), np.array([1.0, 2.5]), np.empty(0), np.empty(0)]),
+             threshold=1.0)
+    def test_chunks_give_the_whole_record_list(self, case, threshold):
+        record, chunks = case
+        expected = detect_jumps(record, threshold)
+        assert detect_jumps_in_chunks(iter(chunks), record.total_time, threshold) == expected
+
+    def test_no_chunks_is_an_empty_record(self):
+        assert detect_jumps_in_chunks(iter([]), 3.0, 1.0) == [(0.0, 3.0)]
+        assert detect_jumps_in_chunks([np.empty(0)], 3.0, 4.0) == []
+
+    @pytest.mark.parametrize("total_time", [float("nan"), float("inf"), -1.0])
+    def test_total_time_must_be_finite_and_nonnegative(self, total_time):
+        with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
+            detect_jumps_in_chunks([], total_time, 1.0)
+
+    def test_streamed_run_matches_the_whole_record(self):
+        rates = default_rates()
+        threshold = default_dark_threshold(rates)
+        rng = np.random.default_rng(13)
+        traj = simulate_trajectory(rates, 40.0, rng)
+        photon_state = rng.bit_generator.state
+        streamed = detect_jumps_in_chunks(photon_chunks(traj, rates, rng), 40.0, threshold)
+        rng.bit_generator.state = photon_state
+        assert streamed == detect_jumps(emit_photons(traj, rates, rng), threshold)
+        assert len(streamed) > 5
 
 
 class TestDetectorAgainstGroundTruth:
