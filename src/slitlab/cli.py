@@ -10,7 +10,9 @@ Experiments
 Each run writes CSV data (density.csv and samples.csv, or trajectory.csv
 and photons.csv), a flat summary.json of metrics, and config_resolved.txt
 echoing every resolved parameter including the seed.  Reruns with the
-same configuration are byte-identical.
+same configuration are byte-identical.  --out must be a new path or an
+empty directory; a run writes into a staging directory beside it and
+renames that into place only when every artifact is complete.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -202,8 +207,13 @@ def parse_args(argv: list[str]) -> RunConfig:
     out = ns.out or file_values.get("out")
     if not out:
         raise ConfigError("no output directory given (--out or config file)")
+    out = Path(str(out))
+    if out.name in ("", ".."):
+        raise ConfigError(f"--out {out} does not end in a directory name")
+    if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
+        raise ConfigError(f"--out {out} exists and is not an empty directory")
 
-    config = RunConfig(experiment=str(experiment), output_dir=Path(str(out)))
+    config = RunConfig(experiment=str(experiment), output_dir=out)
     for attr in ("n_electrons", "total_time", "seed", "wavelength",
                  "hole_width", "separation", "distance"):
         flag = getattr(ns, attr, None)
@@ -255,12 +265,6 @@ class _Labels:
         return len(self.codes)
 
 
-# (file name, header, chunks) of one CSV artifact.  The rows arrive as
-# consecutive chunks, each a list of equal-length columns: a table held in
-# memory is one chunk, a stream is read a chunk at a time.
-_Table = tuple[str, list[str], Iterable[list]]
-
-
 def _cells(column, start: int, stop: int):
     """The text of one column's cells in rows [start, stop)."""
     if isinstance(column, _Labels):
@@ -272,23 +276,32 @@ def _cells(column, start: int, stop: int):
     return map(_fmt, block)
 
 
-def _write_csv(path: Path, header: list[str], chunks: Iterable[list]) -> None:
-    """Write a table's chunks under a header, in blocks of at most CSV_BLOCK_ROWS rows.
+def _write_rows(fh, name: str, columns: list) -> int:
+    """Write one chunk of equal-length columns in blocks of at most
+    CSV_BLOCK_ROWS rows; return its row count."""
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"{name}: columns differ in length")
+    for start in range(0, n_rows, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, n_rows)
+        cells = [_cells(column, start, stop) for column in columns]
+        rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+        fh.write("\n".join(rows))
+        fh.write("\n")
+    return n_rows
 
-    The bytes written do not depend on where the chunks end.
+
+def _write_csv(path: Path, header: list[str], chunks: Iterable[list]) -> int:
+    """Write a table under a header and return its row count.
+
+    The rows arrive as consecutive chunks, each a list of equal-length
+    columns: a table held in memory is one chunk, a stream is read a chunk
+    at a time.  The bytes written do not depend on where the chunks end.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for columns in chunks:
-            n_rows = len(columns[0])
-            if any(len(column) != n_rows for column in columns):
-                raise ValueError(f"{path.name}: columns differ in length")
-            for start in range(0, n_rows, CSV_BLOCK_ROWS):
-                stop = min(start + CSV_BLOCK_ROWS, n_rows)
-                cells = [_cells(column, start, stop) for column in columns]
-                rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-                fh.write("\n".join(rows))
-                fh.write("\n")
+        # map binds no chunk, so none is held while the next one is drawn.
+        return sum(map(lambda columns: _write_rows(fh, path.name, columns), chunks))
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -300,7 +313,7 @@ def _write_config_echo(path: Path, entries: dict) -> None:
     path.write_text("\n".join(lines) + "\n", newline="")
 
 
-def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
+def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
     """g1, g2, g3 and g3_early_off: a sighting outcome per electron, then its position.
 
     The outcome is informative unless every electron goes unseen (g1,
@@ -360,41 +373,46 @@ def _run_two_hole(config: RunConfig) -> tuple[dict, list[_Table]]:
         density_header += ["hole_a_component_per_m", "hole_b_component_per_m"]
         sample_columns.append(_Labels(tuple(tag.value for tag in OUTCOME_ORDER), outcome_index))
         sample_header.append("outcome")
-    tables = [
-        ("density.csv", density_header, [density_columns]),
-        ("samples.csv", sample_header, [sample_columns]),
-    ]
-    return summary, tables
+    # Only the tables keep n-sized arrays alive while they are written.
+    del mask, outcome_index
+    _write_csv(out / "density.csv", density_header, [density_columns])
+    _write_csv(out / "samples.csv", sample_header, [sample_columns])
+    echo = {
+        "n": config.n_electrons,
+        "wavelength": config.wavelength,
+        "hole_width": config.hole_width,
+        "separation": config.separation,
+        "distance": config.distance,
+        "grid_min": geom.grid_min,
+        "grid_max": geom.grid_max,
+        "grid_points": geom.grid_points,
+    }
+    return summary, echo
 
 
-def _run_shelving(config: RunConfig) -> tuple[dict, list[_Table]]:
-    """The photon record is drawn twice from one generator state, dwell by
-    dwell: once through the detector, counting photons, and again into
-    photons.csv once the directory exists.  Memory is bounded by the
-    longest bright dwell, not by the length of the record."""
+def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
+    """The photon record is drawn once, dwell by dwell, and each dwell goes
+    to photons.csv and to the jump detector in the same pass.  Memory is
+    bounded by the longest bright dwell, not by the length of the record."""
     rates = shelving.default_rates()
     threshold = shelving.default_dark_threshold(rates)
     rng = np.random.default_rng(config.seed)
     traj = shelving.simulate_trajectory(rates, config.total_time, rng)
-    photon_state = rng.bit_generator.state
+    absolute = traj.absolute_intervals()
+    _write_csv(out / "trajectory.csv", ["state", "start_s", "duration_s"],
+               [[[s.value for s, _, _ in absolute],
+                 [t0 for _, t0, _ in absolute],
+                 [t1 - t0 for _, t0, t1 in absolute]]])
 
-    def draw_photons():
-        replay = np.random.default_rng(config.seed)
-        replay.bit_generator.state = photon_state
-        return shelving.photon_chunks(traj, rates, replay)
+    detector = shelving.JumpDetector(traj.total_time, threshold)
 
-    n_photons = 0
+    def detected(chunk: np.ndarray) -> list:
+        detector.feed(chunk)
+        return [chunk]
 
-    def counted(chunks):
-        nonlocal n_photons
-        for chunk in chunks:
-            n_photons += chunk.size
-            yield chunk
-
-    inferred = shelving.detect_jumps_in_chunks(
-        counted(draw_photons()), traj.total_time, threshold
-    )
-    score = shelving.score_detections(traj, inferred, threshold)
+    n_photons = _write_csv(out / "photons.csv", ["arrival_time_s"],
+                           map(detected, shelving.photon_chunks(traj, rates, rng)))
+    score = shelving.score_detections(traj, detector.finish(), threshold)
 
     bright = traj.durations(shelving.IonState.BRIGHT)
     dark = traj.durations(shelving.IonState.DARK)
@@ -423,66 +441,45 @@ def _run_shelving(config: RunConfig) -> tuple[dict, list[_Table]]:
     if dark.size >= 10:
         ks = stats.ks_exponential(dark, rates.deshelve_rate)
         summary["ks_p_value_dark"] = ks.p_value
-    absolute = traj.absolute_intervals()
-    tables = [
-        ("trajectory.csv", ["state", "start_s", "duration_s"],
-         [[[s.value for s, _, _ in absolute],
-           [t0 for _, t0, _ in absolute],
-           [t1 - t0 for _, t0, t1 in absolute]]]),
-        ("photons.csv", ["arrival_time_s"], ([chunk] for chunk in draw_photons())),
-    ]
-    return summary, tables
+    echo = {
+        "total_time": config.total_time,
+        "fluorescence_rate": rates.fluorescence_rate,
+        "shelve_rate": rates.shelve_rate,
+        "deshelve_rate": rates.deshelve_rate,
+        "dark_threshold": threshold,
+    }
+    return summary, echo
 
 
 def run(config: RunConfig) -> None:
-    """Execute one experiment, then write all artifacts into the output directory.
+    """Execute one experiment and write its artifacts to ``config.output_dir``.
 
-    Every check and computation finishes before the directory is created,
-    so a run that fails anywhere but in the writing leaves no directory.
-    Shelving's photon record, too large to keep, is drawn a second time
-    while photons.csv is written, from the generator state that already
-    passed every check.
+    The runner writes into a fresh staging directory beside the output
+    directory, with numpy's invalid, divide-by-zero and overflow warnings
+    raised as errors.  Only a complete run is renamed into place (over an
+    empty output directory, if one exists); a run that fails anywhere,
+    writing included, removes the staging directory and leaves no output.
     """
-    if config.experiment in TWO_HOLE_EXPERIMENTS:
-        summary, tables = _run_two_hole(config)
-    elif config.experiment == "shelving":
-        summary, tables = _run_shelving(config)
-    else:
+    if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
-
-    echo = {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "out": str(config.output_dir),
-    }
-    if config.experiment == "shelving":
-        echo["total_time"] = config.total_time
-        rates = shelving.default_rates()
-        echo.update(
-            fluorescence_rate=rates.fluorescence_rate,
-            shelve_rate=rates.shelve_rate,
-            deshelve_rate=rates.deshelve_rate,
-            dark_threshold=shelving.default_dark_threshold(rates),
-        )
-    else:
-        geom = config.geometry()
-        echo.update(
-            n=config.n_electrons,
-            wavelength=config.wavelength,
-            hole_width=config.hole_width,
-            separation=config.separation,
-            distance=config.distance,
-            grid_min=geom.grid_min,
-            grid_max=geom.grid_max,
-            grid_points=geom.grid_points,
-        )
-
+    runner = _run_shelving if config.experiment == "shelving" else _run_two_hole
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    for name, header, chunks in tables:
-        _write_csv(out / name, header, chunks)
-    _write_config_echo(out / "config_resolved.txt", echo)
-    _write_summary(out / "summary.json", summary)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            summary, echo = runner(config, staging)
+        echo.update(experiment=config.experiment, seed=config.seed, out=str(out))
+        _write_config_echo(staging / "config_resolved.txt", echo)
+        _write_summary(staging / "summary.json", summary)
+        # mkdtemp makes the directory private; give it mkdir's mode instead.
+        umask = os.umask(0)
+        os.umask(umask)
+        staging.chmod(0o777 & ~umask)
+        os.replace(staging, out)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:

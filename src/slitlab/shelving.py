@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "DetectionScore",
     "IonState",
+    "JumpDetector",
     "PhotonRecord",
     "TelegraphTrajectory",
     "VSystemRates",
@@ -226,10 +227,12 @@ def photon_chunks(
         np.not_equal(times[1:], times[:-1], out=distinct[1:])
         if not distinct.all():
             times = times[distinct]
+        del distinct  # not held across the yield
         if times.size:
             _check_arrivals(times, traj.total_time, after=last)
             last = times[-1]
             yield times
+        del times  # not held while the next dwell is drawn
 
 
 def emit_photons(
@@ -241,15 +244,12 @@ def emit_photons(
     return PhotonRecord(times, traj.total_time)
 
 
-def detect_jumps_in_chunks(
-    chunks: Iterable[np.ndarray], total_time: float, dark_threshold: float
-) -> list[tuple[float, float]]:
+class JumpDetector:
     """Infer dark intervals purely from photon silences longer than the threshold.
 
-    ``chunks`` are consecutive pieces of one record's arrival times, read
-    once and in order; only the last arrival time is carried from one
-    chunk to the next, so a record of any length runs in the memory of its
-    largest chunk.
+    The arrival times of one record are fed in order, a chunk at a time;
+    only the last arrival time is carried from one chunk to the next, so a
+    record of any length runs in the memory of its largest chunk.
 
     A silence observed between photons is declared dark starting at
     last_photon + dark_threshold - the inference is only available once the
@@ -257,34 +257,57 @@ def detect_jumps_in_chunks(
     reaching the record boundaries uses the boundary itself: a record with
     no photons at all is one inferred dark interval spanning (0, total_time).
     """
-    if not (math.isfinite(dark_threshold) and dark_threshold > 0):
-        raise ValueError(f"dark_threshold must be positive and finite, got {dark_threshold!r}")
-    _check_total_time(total_time)
-    inferred: list[tuple[float, float]] = []
-    last = None
-    for times in chunks:
+
+    def __init__(self, total_time: float, dark_threshold: float) -> None:
+        if not (math.isfinite(dark_threshold) and dark_threshold > 0):
+            raise ValueError(f"dark_threshold must be positive and finite, got {dark_threshold!r}")
+        _check_total_time(total_time)
+        self.total_time = total_time
+        self.dark_threshold = dark_threshold
+        self._inferred: list[tuple[float, float]] = []
+        self._last: float | None = None
+
+    def feed(self, times: np.ndarray) -> None:
+        """Read the record's next arrival times; its temporaries die on return."""
         if not times.size:
-            continue
+            return
+        threshold = self.dark_threshold
         first = float(times[0])
-        if last is None:
-            if first > dark_threshold:
+        if self._last is None:
+            if first > threshold:
                 # No photon has been seen since the start; the silence begins there.
-                inferred.append((0.0, first))
-        elif last + dark_threshold < first:
-            inferred.append((last + dark_threshold, first))
+                self._inferred.append((0.0, first))
+        elif self._last + threshold < first:
+            self._inferred.append((self._last + threshold, first))
         # Compare the rounded dark start with the gap's end, not the gap
         # length with the threshold: a gap within an ulp of the threshold
         # would otherwise give an interval of zero length.
-        dark_start = times[:-1] + dark_threshold
+        dark_start = times[:-1] + threshold
         gap_end = times[1:]
         long_gaps = dark_start < gap_end
-        inferred.extend(zip(dark_start[long_gaps].tolist(), gap_end[long_gaps].tolist()))
-        last = float(times[-1])
-    if last is None:
-        return [(0.0, total_time)] if total_time > dark_threshold else []
-    if last + dark_threshold < total_time:
-        inferred.append((last + dark_threshold, total_time))
-    return inferred
+        self._inferred.extend(zip(dark_start[long_gaps].tolist(), gap_end[long_gaps].tolist()))
+        self._last = float(times[-1])
+
+    def finish(self) -> list[tuple[float, float]]:
+        """The inferred dark intervals, the silence at the record's end included."""
+        inferred = list(self._inferred)
+        if self._last is None:
+            if self.total_time > self.dark_threshold:
+                inferred.append((0.0, self.total_time))
+        elif self._last + self.dark_threshold < self.total_time:
+            inferred.append((self._last + self.dark_threshold, self.total_time))
+        return inferred
+
+
+def detect_jumps_in_chunks(
+    chunks: Iterable[np.ndarray], total_time: float, dark_threshold: float
+) -> list[tuple[float, float]]:
+    """``JumpDetector`` over ``chunks``, read once and in order."""
+    detector = JumpDetector(total_time, dark_threshold)
+    # map binds no chunk, so none is held while the next one is drawn.
+    for _ in map(detector.feed, chunks):
+        pass
+    return detector.finish()
 
 
 def detect_jumps(record: PhotonRecord, dark_threshold: float) -> list[tuple[float, float]]:

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slitlab.cli as cli
 from slitlab.cli import ConfigError, main, parse_args
@@ -12,6 +16,21 @@ from slitlab.cli import ConfigError, main, parse_args
 
 def read_summary(path):
     return json.loads((path / "summary.json").read_text())
+
+
+def staging_dirs(out):
+    """Staging directories that a run for ``out`` left beside it."""
+    return sorted(out.parent.glob(f".{out.name}.*"))
+
+
+def artifact_names(experiment):
+    tables = ("photons.csv", "trajectory.csv") if experiment == "shelving" else (
+        "density.csv", "samples.csv")
+    return sorted(tables + ("config_resolved.txt", "summary.json"))
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("sampling started")
 
 
 def test_g1_run_writes_expected_artifacts(tmp_path):
@@ -152,11 +171,25 @@ class TestExitCodes:
         assert main(["g1", "--out", str(tmp_path / "x")]) == 2
         assert "numerical failure: synthetic bad value" in capsys.readouterr().err
 
-    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys, monkeypatch):
+        # The parent is made, and fails, before any sampling starts.
+        monkeypatch.setattr(cli.measurement, "sample_arrivals", fail_if_called)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
         assert main(["g1", "--n", "100", "--out", str(blocker / "sub")]) == 3
         assert "io failure" in capsys.readouterr().err
+        assert blocker.read_text() == "a file, not a directory\n"
+
+    def test_numerical_warning_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        def overflow(illumination, geom, n, rng):
+            return np.zeros(n, dtype=int), np.full(n, 1e308) * 10
+
+        monkeypatch.setattr(cli.measurement, "sample_arrivals", overflow)
+        out = tmp_path / "x"
+        assert main(["g1", "--n", "100", "--out", str(out)]) == 2
+        assert "numerical failure: overflow" in capsys.readouterr().err
+        assert not out.exists()
+        assert staging_dirs(out) == []
 
     def test_bad_config_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -299,7 +332,7 @@ class TestSamplerMemoryCap:
 
 
 def test_failed_shelving_stream_leaves_no_output_directory(tmp_path, monkeypatch, capsys):
-    # The photon stream is checked in full on its first pass, before mkdir.
+    # The stream fails after photons.csv has its first rows, in the staging directory.
     def failing_stream(traj, rates, rng):
         yield np.array([0.5])
         raise ValueError("arrival times must be strictly increasing")
@@ -309,6 +342,142 @@ def test_failed_shelving_stream_leaves_no_output_directory(tmp_path, monkeypatch
     assert main(["shelving", "--total-time", "2", "--out", str(out)]) == 2
     assert "numerical failure: arrival times must be strictly increasing" in capsys.readouterr().err
     assert not out.exists()
+    assert staging_dirs(out) == []
+
+
+def test_photons_are_drawn_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    real = cli.shelving.photon_chunks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli.shelving, "photon_chunks", counted)
+    assert main(["shelving", "--total-time", "2", "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
+
+
+def test_io_failure_inside_photons_csv_leaves_no_output(tmp_path, monkeypatch, capsys):
+    real = cli._write_csv
+    written = []
+
+    def failing_write(path, header, chunks):
+        if path.name != "photons.csv":
+            return real(path, header, chunks)
+
+        def first_chunk_then_full_disk():
+            for chunk in chunks:
+                if written:
+                    raise OSError(28, "No space left on device")
+                written.append(chunk)
+                yield chunk
+
+        return real(path, header, first_chunk_then_full_disk())
+
+    monkeypatch.setattr(cli, "_write_csv", failing_write)
+    out = tmp_path / "run"
+    assert main(["shelving", "--total-time", "5", "--out", str(out)]) == 3
+    assert "io failure" in capsys.readouterr().err
+    assert len(written) == 1
+    assert not out.exists()
+    assert staging_dirs(out) == []
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_run_leaves_exactly_the_artifacts(self, tmp_path, existing):
+        out = tmp_path / "run"
+        if existing:
+            out.mkdir()
+        assert main(["g1", "--n", "100", "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == artifact_names("g1")
+        assert staging_dirs(out) == []
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o777 & ~umask
+
+    def test_missing_parents_are_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "run"
+        assert main(["shelving", "--total-time", "1", "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == artifact_names("shelving")
+
+    @pytest.mark.parametrize("kind", ["non-empty directory", "file"])
+    def test_occupied_out_is_rejected_untouched(self, tmp_path, capsys, monkeypatch, kind):
+        monkeypatch.setattr(cli.measurement, "sample_arrivals", fail_if_called)
+        out = tmp_path / "run"
+        if kind == "file":
+            out.write_text("not a directory\n")
+        else:
+            out.mkdir()
+            (out / "keep.txt").write_text("earlier results\n")
+        before = sorted(os.walk(out))
+        assert main(["g1", "--n", "100", "--out", str(out)]) == 1
+        assert f"--out {out} exists and is not an empty directory" in capsys.readouterr().err
+        assert sorted(os.walk(out)) == before
+        if kind == "file":
+            assert out.read_text() == "not a directory\n"
+        else:
+            assert (out / "keep.txt").read_text() == "earlier results\n"
+        assert staging_dirs(out) == []
+
+    @pytest.mark.parametrize("name", [".", ".."])
+    def test_out_without_a_name_is_rejected(self, tmp_path, capsys, monkeypatch, name):
+        # The staging directory cannot be renamed onto the working directory
+        # or its parent, even when that is empty.
+        monkeypatch.setattr(cli.measurement, "sample_arrivals", fail_if_called)
+        (tmp_path / "empty").mkdir()
+        monkeypatch.chdir(tmp_path / "empty")
+        assert main(["g1", "--n", "100", "--out", name]) == 1
+        assert f"--out {name} does not end in a directory name" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "empty"]
+
+
+BAD_VALUES = {
+    "--n": ["0", "-4", "ten"],
+    "--total-time": ["0", "-1e-3", "nan", "inf"],
+    "--seed": ["-1", "1.5"],
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv with small sizes and at most one bad value, and the state of its --out."""
+    values = {
+        "--n": draw(st.integers(1, 200).map(str)),
+        "--total-time": draw(st.floats(1e-3, 2.0).map(repr)),
+        "--seed": draw(st.integers(0, 2**32).map(str)),
+    }
+    bad = draw(st.sampled_from([None, None, *BAD_VALUES]))
+    if bad:
+        values[bad] = draw(st.sampled_from(BAD_VALUES[bad]))
+    argv = [draw(st.sampled_from(cli.EXPERIMENTS))]
+    for flag, value in values.items():
+        argv += [flag, value]
+    return argv, draw(st.sampled_from(["absent", "empty", "non-empty"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(call=cli_calls())
+def test_main_exits_with_a_code_and_a_complete_output_or_none(call):
+    argv, out_state = call
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        if out_state != "absent":
+            out.mkdir()
+        if out_state == "non-empty":
+            (out / "keep.txt").write_text("earlier results\n")
+        code = main(argv + ["--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert staging_dirs(out) == []
+        if code == 0:
+            assert out_state != "non-empty"
+            assert sorted(path.name for path in out.iterdir()) == artifact_names(argv[0])
+        elif out_state == "absent":
+            assert not out.exists()
+        else:
+            names = [path.name for path in out.iterdir()]
+            assert names == ([] if out_state == "empty" else ["keep.txt"])
 
 
 def reject_constant(name):
@@ -432,10 +601,11 @@ def reference_fmt(value) -> str:
     return str(value)
 
 
-def reference_write_csv(path, header, chunks) -> None:
+def reference_write_csv(path, header, chunks) -> int:
     """The per-cell writer that the column-wise one replaced, kept as its reference.
 
-    It reads every row of every chunk before writing any.
+    It reads every row of every chunk before writing any, and returns the
+    row count.
     """
     lines = [",".join(header)]
     for columns in chunks:
@@ -444,6 +614,7 @@ def reference_write_csv(path, header, chunks) -> None:
         for row in zip(*columns):
             lines.append(",".join(reference_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", newline="")
+    return len(lines) - 1
 
 
 @pytest.mark.parametrize("argv", [

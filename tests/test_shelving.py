@@ -123,6 +123,24 @@ ABUTTING_DWELLS = TelegraphTrajectory(
     ((IonState.BRIGHT, 1.0), (IonState.DARK, 1e-17), (IonState.BRIGHT, 1.0)), 2.0)
 
 
+def stream_peak(total_time: float) -> tuple[int, int]:
+    """Peak traced bytes of the detector over the photon stream at seed 0,
+    and the photon count of the longest bright dwell."""
+    rates = default_rates()
+    rng = np.random.default_rng(0)
+    traj = simulate_trajectory(rates, total_time, rng)
+    photon_state = rng.bit_generator.state
+    longest = max(chunk.size for chunk in photon_chunks(traj, rates, rng))
+    rng.bit_generator.state = photon_state
+    tracemalloc.start()
+    try:
+        detect_jumps_in_chunks(photon_chunks(traj, rates, rng), total_time,
+                               default_dark_threshold(rates))
+        return tracemalloc.get_traced_memory()[1], longest
+    finally:
+        tracemalloc.stop()
+
+
 class TestPhotonEmission:
     def test_dark_trajectory_emits_nothing(self):
         traj = TelegraphTrajectory(((IonState.DARK, 10.0),), 10.0)
@@ -211,23 +229,17 @@ class TestPhotonEmission:
         # The stream holds one bright dwell at a time, so its peak follows
         # the longest dwell (a few seconds at most here), not total_time.
         # The whole 300 s record is ~1e7 photons, 76 MiB as one array alone.
-        rates = default_rates()
-        threshold = default_dark_threshold(rates)
         peaks = {}
         for total_time in (30.0, 300.0):
-            rng = np.random.default_rng(0)
-            traj = simulate_trajectory(rates, total_time, rng)
-            photon_state = rng.bit_generator.state
-            longest = max(chunk.size for chunk in photon_chunks(traj, rates, rng))
-            rng.bit_generator.state = photon_state
-            tracemalloc.start()
-            try:
-                detect_jumps_in_chunks(photon_chunks(traj, rates, rng), total_time, threshold)
-                peaks[total_time] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[total_time], longest = stream_peak(total_time)
             assert peaks[total_time] < 40 * longest + 2**20
         assert peaks[300.0] - peaks[30.0] < 16 * 2**20
+
+    def test_stream_holds_one_dwell_and_the_detector_temporaries(self):
+        # The dwell's 8 B per photon, the detector's shifted copy (8 B) and
+        # its gap mask (1 B); no previous dwell, no leftover mask.
+        peak, longest = stream_peak(30.0)
+        assert peak <= 20 * longest
 
     def test_seed_determinism(self):
         rates = default_rates()
