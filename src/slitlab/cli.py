@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
 import shutil
 import sys
 import tempfile
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +62,12 @@ VISIBILITY_HALF_PERIODS = 1
 # CSV rows are formatted and written this many at a time, so the writer's
 # memory depends on the block, not on the length of the record.
 CSV_BLOCK_ROWS = 65_536
+
+# A table that reaches this many rows has its blocks formatted by a forked
+# pool, one worker per usable CPU, with at most BLOCKS_PER_WORKER blocks per
+# worker in flight; a shorter table would not repay the fork.
+POOL_MIN_ROWS = CSV_BLOCK_ROWS
+BLOCKS_PER_WORKER = 2
 
 # Largest sampler footprint a two-hole run may ask for
 # (measurement.sampler_footprint_bytes): 2 GiB, about 6.7e7 electrons.
@@ -264,31 +272,128 @@ class _Labels:
     def __len__(self) -> int:
         return len(self.codes)
 
+    def __getitem__(self, rows: slice) -> _Labels:
+        return _Labels(self.names, self.codes[rows])
 
-def _cells(column, start: int, stop: int):
-    """The text of one column's cells in rows [start, stop)."""
+
+def _cells(column):
+    """The text of one column's cells."""
     if isinstance(column, _Labels):
-        return map(column.names.__getitem__, column.codes[start:stop].tolist())
-    block = column[start:stop]
-    if isinstance(block, np.ndarray) and block.dtype == np.float64:
+        return map(column.names.__getitem__, column.codes.tolist())
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
         # tolist() yields Python floats: the same text as _fmt, without its dispatch
-        return map(repr, block.tolist())
-    return map(_fmt, block)
+        return map(repr, column.tolist())
+    return map(_fmt, column)
 
 
-def _write_rows(fh, name: str, columns: list) -> int:
-    """Write one chunk of equal-length columns in blocks of at most
-    CSV_BLOCK_ROWS rows; return its row count."""
-    n_rows = len(columns[0])
-    if any(len(column) != n_rows for column in columns):
-        raise ValueError(f"{name}: columns differ in length")
-    for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, n_rows)
-        cells = [_cells(column, start, stop) for column in columns]
-        rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-        fh.write("\n".join(rows))
-        fh.write("\n")
-    return n_rows
+def _format_block(columns: list) -> str:
+    """The CSV lines of one block of equal-length columns, each ending in a newline."""
+    cells = [_cells(column) for column in columns]
+    rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+    return "\n".join(rows) + "\n"
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _end_with_run(run_pid: int) -> None:
+    """Worker initializer: have the kernel kill this worker when the run that
+    forked it dies without shutting the pool down (a SIGKILL, the OOM
+    killer), where it would otherwise wait for work forever.
+
+    Best effort: where libc has no prctl, or it fails, the worker runs on.
+    """
+    import ctypes
+    import signal
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: the signal sent when the parent dies
+    if os.getppid() != run_pid:  # the run died before the request took effect
+        os._exit(1)
+
+
+def _start_pool(workers: int):
+    """A pool of ``workers`` processes forked from this one.
+
+    Its modules are imported here, so a run that starts no pool never
+    loads them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_end_with_run, initargs=(os.getpid(),))
+
+
+class _TableWriter:
+    """Writes one table's rows to ``fh`` in blocks, in row order.
+
+    Blocks are formatted in this process until the table reaches
+    POOL_MIN_ROWS rows.  From then on, if more than one CPU is usable, a
+    forked pool formats them: each block goes to it as column slices,
+    at most BLOCKS_PER_WORKER blocks per worker are in flight, and each
+    block is written as soon as it is next in order.  Only the text of
+    final arrays crosses into a worker, so the bytes do not depend on the
+    path.  The pool belongs to this writer, which shuts it down on exit;
+    a worker that dies is raised as an OSError.
+    """
+
+    def __init__(self, fh, name: str):
+        self._fh = fh
+        self._name = name
+        self._workers = _usable_cpus()
+        self._rows = 0
+        self._pool = None
+        self._in_flight: deque = deque()
+
+    def __enter__(self) -> _TableWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._pool is None:
+            return
+        from concurrent.futures.process import BrokenProcessPool
+
+        self._pool.shutdown(wait=True, cancel_futures=True)
+        if isinstance(exc, BrokenProcessPool):
+            raise OSError(f"{self._name}: a formatting worker died") from exc
+
+    def write(self, columns: list) -> int:
+        """Write one chunk of equal-length columns; return its row count."""
+        n_rows = len(columns[0])
+        if any(len(column) != n_rows for column in columns):
+            raise ValueError(f"{self._name}: columns differ in length")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            block = [column[start:stop] for column in columns]
+            self._rows += stop - start
+            if self._pool is None and self._workers > 1 and self._rows >= POOL_MIN_ROWS:
+                self._pool = _start_pool(self._workers)
+            if self._pool is None:
+                self._fh.write(_format_block(block))
+                continue
+            while len(self._in_flight) >= BLOCKS_PER_WORKER * self._workers:
+                self._write_next()
+            self._in_flight.append(self._pool.submit(_format_block, block))
+            while self._in_flight and self._in_flight[0].done():
+                self._write_next()
+        return n_rows
+
+    def finish(self) -> None:
+        """Write every block still in flight."""
+        while self._in_flight:
+            self._write_next()
+
+    def _write_next(self) -> None:
+        self._fh.write(self._in_flight.popleft().result())
 
 
 def _write_csv(path: Path, header: list[str], chunks: Iterable[list]) -> int:
@@ -296,12 +401,16 @@ def _write_csv(path: Path, header: list[str], chunks: Iterable[list]) -> int:
 
     The rows arrive as consecutive chunks, each a list of equal-length
     columns: a table held in memory is one chunk, a stream is read a chunk
-    at a time.  The bytes written do not depend on where the chunks end.
+    at a time.  The bytes written do not depend on where the chunks end,
+    nor on whether a pool formats them (see _TableWriter).
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh, \
+            _TableWriter(fh, path.name) as table:
         fh.write(",".join(header) + "\n")
         # map binds no chunk, so none is held while the next one is drawn.
-        return sum(map(lambda columns: _write_rows(fh, path.name, columns), chunks))
+        n_rows = sum(map(table.write, chunks))
+        table.finish()
+    return n_rows
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -451,6 +560,20 @@ def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
     return summary, echo
 
 
+def _make_missing_dirs(directory: Path, made: list[Path]) -> None:
+    """Create ``directory`` and its missing parents, adding each one this
+    call creates to the front of ``made``, so that it lists them deepest first."""
+    missing = itertools.takewhile(lambda path: not path.exists(), [directory, *directory.parents])
+    for path in reversed(list(missing)):
+        try:
+            path.mkdir()
+        except FileExistsError:  # made meanwhile by another run, so not ours to remove
+            if not path.is_dir():
+                raise
+        else:
+            made.insert(0, path)
+
+
 def run(config: RunConfig) -> None:
     """Execute one experiment and write its artifacts to ``config.output_dir``.
 
@@ -458,15 +581,18 @@ def run(config: RunConfig) -> None:
     directory, with numpy's invalid, divide-by-zero and overflow warnings
     raised as errors.  Only a complete run is renamed into place (over an
     empty output directory, if one exists); a run that fails anywhere,
-    writing included, removes the staging directory and leaves no output.
+    writing included, removes the staging directory and the missing
+    parents of the output directory that it made, and leaves no output.
     """
     if config.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     runner = _run_shelving if config.experiment == "shelving" else _run_two_hole
     out = config.output_dir
-    out.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    made: list[Path] = []
+    staging = None
     try:
+        _make_missing_dirs(out.parent, made)
+        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
         with np.errstate(invalid="raise", divide="raise", over="raise"):
             summary, echo = runner(config, staging)
         echo.update(experiment=config.experiment, seed=config.seed, out=str(out))
@@ -478,7 +604,13 @@ def run(config: RunConfig) -> None:
         staging.chmod(0o777 & ~umask)
         os.replace(staging, out)
     except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:  # no longer empty, and so neither is any parent
+                break
         raise
 
 

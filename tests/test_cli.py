@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +37,53 @@ def artifact_names(experiment):
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("sampling started")
+
+
+def pool_started(workers):
+    raise AssertionError("a formatting pool started")
+
+
+TEST_PID = os.getpid()
+FORMAT_BLOCK = cli._format_block
+
+
+def exit_in_worker(columns):
+    """_format_block, except that a worker process running it dies at once."""
+    if os.getpid() != TEST_PID:
+        os._exit(70)
+    return FORMAT_BLOCK(columns)
+
+
+def slow_in_worker(columns):
+    """_format_block, taking 20 ms longer in a worker process."""
+    if os.getpid() != TEST_PID:
+        time.sleep(0.02)
+    return FORMAT_BLOCK(columns)
+
+
+WRITER_PATHS = ("in-process", "pooled")
+
+
+@contextmanager
+def writer_path(path):
+    """Send every table onto one of _write_csv's paths; yield the pools it starts.
+
+    "pooled" starts a pool of two workers, whatever the machine, at a
+    table's first row; "in-process" starts none.
+    """
+    started = []
+    real_start_pool = cli._start_pool
+
+    def counted_start_pool(workers):
+        started.append(workers)
+        return real_start_pool(workers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_start_pool", counted_start_pool)
+        patch.setattr(cli, "_usable_cpus", lambda: 2 if path == "pooled" else 1)
+        if path == "pooled":
+            patch.setattr(cli, "POOL_MIN_ROWS", 1)
+        yield started
 
 
 def test_g1_run_writes_expected_artifacts(tmp_path):
@@ -377,11 +430,67 @@ def test_io_failure_inside_photons_csv_leaves_no_output(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(cli, "_write_csv", failing_write)
     out = tmp_path / "run"
-    assert main(["shelving", "--total-time", "5", "--out", str(out)]) == 3
+    with writer_path("pooled") as started:
+        assert main(["shelving", "--total-time", "5", "--out", str(out)]) == 3
+    assert started == [2, 2]  # trajectory.csv's pool, then photons.csv's
     assert "io failure" in capsys.readouterr().err
     assert len(written) == 1
     assert not out.exists()
     assert staging_dirs(out) == []
+    assert multiprocessing.active_children() == []
+
+
+def process_is_running(pid):
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(") ")[2][:1] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_pool_workers_end_with_a_killed_run():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import multiprocessing, time, slitlab.cli as cli\n"
+        "pool = cli._start_pool(2)\n"
+        "pool.submit(time.sleep, 0).result()\n"
+        "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    run = subprocess.Popen([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                           stdout=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        workers = [int(pid) for pid in run.stdout.readline().split()]
+        assert len(workers) == 2
+        run.kill()
+        run.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(process_is_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(process_is_running, workers))
+    finally:
+        run.kill()
+        run.wait(timeout=10)
+        run.stdout.close()
+        for pid in filter(process_is_running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_dead_formatting_worker_is_an_io_failure(tmp_path, monkeypatch, capsys):
+    # trajectory.csv is shorter than a block and is formatted in this
+    # process; photons.csv reaches a block, and its pool's workers die.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_format_block", exit_in_worker)
+    out = tmp_path / "run"
+    assert main(["shelving", "--total-time", "5", "--out", str(out)]) == 3
+    assert "io failure: photons.csv: a formatting worker died" in capsys.readouterr().err
+    assert not out.exists()
+    assert staging_dirs(out) == []
+    assert multiprocessing.active_children() == []
 
 
 class TestOutputDirectory:
@@ -401,6 +510,28 @@ class TestOutputDirectory:
         out = tmp_path / "a" / "b" / "run"
         assert main(["shelving", "--total-time", "1", "--out", str(out)]) == 0
         assert sorted(path.name for path in out.iterdir()) == artifact_names("shelving")
+
+    def test_failed_run_removes_only_the_parents_it_made(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise ValueError("synthetic sampling failure")
+
+        monkeypatch.setattr(cli.measurement, "sample_arrivals", fail)
+        (tmp_path / "kept").mkdir()  # empty, but there before the run
+        out = tmp_path / "kept" / "a" / "b" / "run"
+        assert main(["g1", "--n", "10", "--out", str(out)]) == 2
+        assert "synthetic sampling failure" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "kept"]
+
+    def test_failed_run_keeps_a_parent_that_is_not_empty(self, tmp_path, monkeypatch):
+        # Another file arrives in a parent this run made, while it runs.
+        def fill_parent(*args):
+            (tmp_path / "a" / "other.txt").write_text("not this run's\n")
+            raise ValueError("synthetic sampling failure")
+
+        monkeypatch.setattr(cli.measurement, "sample_arrivals", fill_parent)
+        out = tmp_path / "a" / "b" / "run"
+        assert main(["g1", "--n", "10", "--out", str(out)]) == 2
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", tmp_path / "a" / "other.txt"]
 
     @pytest.mark.parametrize("kind", ["non-empty directory", "file"])
     def test_occupied_out_is_rejected_untouched(self, tmp_path, capsys, monkeypatch, kind):
@@ -641,11 +772,15 @@ def test_artifacts_match_the_per_cell_writer(tmp_path, monkeypatch, argv):
 
 
 def assert_writers_agree(tmp_path, header, columns):
-    cli._write_csv(tmp_path / "new.csv", header, [columns])
+    """Both of _write_csv's paths write the reference's bytes; return them."""
     reference_write_csv(tmp_path / "reference.csv", header, [columns])
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "reference.csv").read_bytes()
-    return new
+    reference = (tmp_path / "reference.csv").read_bytes()
+    for path in WRITER_PATHS:
+        with writer_path(path) as started:
+            cli._write_csv(tmp_path / f"{path}.csv", header, [columns])
+        assert (tmp_path / f"{path}.csv").read_bytes() == reference, path
+        assert started == ([2] if path == "pooled" and len(columns[0]) else [])
+    return reference
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1])
@@ -687,5 +822,58 @@ def test_chunk_edges_do_not_change_the_bytes(tmp_path):
     cuts = [0, 0, 5, 5, cli.CSV_BLOCK_ROWS + 7, n_rows, n_rows]
     chunks = [[floats[a:b], cli._Labels(labels.names, labels.codes[a:b])]
               for a, b in zip(cuts, cuts[1:])]
-    cli._write_csv(tmp_path / "chunked.csv", ["t", "state"], iter(chunks))
-    assert (tmp_path / "chunked.csv").read_bytes() == whole
+    for path in WRITER_PATHS:
+        with writer_path(path):
+            cli._write_csv(tmp_path / "chunked.csv", ["t", "state"], iter(chunks))
+        assert (tmp_path / "chunked.csv").read_bytes() == whole, path
+
+
+class LineCountingFile:
+    """A text file that counts the lines written to it."""
+
+    def __init__(self, *args, **kwargs):
+        self._fh = open(*args, **kwargs)
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_pool_holds_at_most_its_window_of_blocks(tmp_path, monkeypatch):
+    files = []
+
+    def counting_open(*args, **kwargs):
+        files.append(LineCountingFile(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(cli, "_format_block", slow_in_worker)
+    ahead = []
+
+    def one_row_chunks(n):
+        for i in range(n):
+            # i rows drawn so far, and the header is the file's first line
+            ahead.append(i - (files[0].lines - 1))
+            yield [np.array([float(i)])]
+
+    with writer_path("pooled") as started:
+        assert cli._write_csv(tmp_path / "t.csv", ["t"], one_row_chunks(40)) == 40
+    assert started == [2]
+    assert 1 < max(ahead) <= cli.BLOCKS_PER_WORKER * 2
+    assert (tmp_path / "t.csv").read_text() == "t\n" + "".join(f"{i}.0\n" for i in range(40))
+
+
+@pytest.mark.parametrize("argv", [["g1", "--n", "100"], ["shelving", "--total-time", "0.2"]])
+def test_small_runs_start_no_pool(tmp_path, monkeypatch, argv):
+    # Some 20 000 photons at most in 0.2 s, and 8193 rows in density.csv: each
+    # table is shorter than one block.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_start_pool", pool_started)
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0

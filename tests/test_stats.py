@@ -319,14 +319,21 @@ def assert_ks_matches_scipy_stats(durations, rate):
     )
 
 
+# Modules that importing slitlab must not load.  scipy.stats takes most of
+# a second to import, paid by every run.  The CSV writer's process pool
+# loads multiprocessing and concurrent.futures.process only when a table
+# starts one (numpy.testing, which scipy.special loads, already imports the
+# concurrent.futures package itself).
+NOT_LOADED_BY_IMPORT = ("scipy.stats", "multiprocessing", "concurrent.futures.process")
+
+
 def test_importing_slitlab_loads_no_scipy_stats():
-    # scipy.stats takes most of a second to import, paid by every run.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     code = (
         "import sys, slitlab.cli, slitlab\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        f"print(sorted(m for m in sys.modules if m.startswith({NOT_LOADED_BY_IMPORT!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
