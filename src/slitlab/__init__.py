@@ -1,101 +1,13 @@
 """Monte Carlo laboratory for two-hole matter-wave interference,
 which-path and null measurements, and electron-shelving telegraph
-statistics."""
+statistics.  The package exports each module's ``__all__``."""
 
-from .optics import (
-    Hole,
-    QuadratureConvergenceError,
-    RealDensity,
-    SlitGeometry,
-    TransverseAmplitude,
-    default_geometry,
-    fresnel_oracle,
-    relative_l2_error,
-    single_hole_amplitude,
-    superpose,
-    visibility,
-)
-from .measurement import (
-    OUTCOME_ORDER,
-    Illumination,
-    OutcomeTag,
-    conditional_density,
-    ensemble_density,
-    outcome_probabilities,
-    sample_arrivals,
-)
-from .stats import (
-    ChiSquareResult,
-    GriddedCdf,
-    Histogram,
-    KsResult,
-    PositionSample,
-    chi_square_gof,
-    filter_positions,
-    fringe_visibility_from_positions,
-    histogram,
-    ks_exponential,
-    sample_positions,
-    windowed_chi2,
-)
-from .shelving import (
-    DetectionScore,
-    IonState,
-    PhotonRecord,
-    TelegraphTrajectory,
-    VSystemRates,
-    dark_threshold_for_false_rate,
-    default_dark_threshold,
-    default_rates,
-    detect_jumps,
-    emit_photons,
-    score_detections,
-    simulate_trajectory,
-)
+from . import measurement, optics, shelving, stats
+from .optics import *  # noqa: F403
+from .measurement import *  # noqa: F403
+from .stats import *  # noqa: F403
+from .shelving import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "OUTCOME_ORDER",
-    "ChiSquareResult",
-    "DetectionScore",
-    "GriddedCdf",
-    "Histogram",
-    "Hole",
-    "Illumination",
-    "IonState",
-    "KsResult",
-    "OutcomeTag",
-    "PhotonRecord",
-    "PositionSample",
-    "QuadratureConvergenceError",
-    "RealDensity",
-    "SlitGeometry",
-    "TelegraphTrajectory",
-    "TransverseAmplitude",
-    "VSystemRates",
-    "chi_square_gof",
-    "conditional_density",
-    "dark_threshold_for_false_rate",
-    "default_dark_threshold",
-    "default_geometry",
-    "default_rates",
-    "detect_jumps",
-    "emit_photons",
-    "ensemble_density",
-    "filter_positions",
-    "fresnel_oracle",
-    "fringe_visibility_from_positions",
-    "histogram",
-    "ks_exponential",
-    "outcome_probabilities",
-    "relative_l2_error",
-    "sample_arrivals",
-    "sample_positions",
-    "score_detections",
-    "simulate_trajectory",
-    "single_hole_amplitude",
-    "superpose",
-    "visibility",
-    "windowed_chi2",
-]
+__all__ = [*optics.__all__, *measurement.__all__, *stats.__all__, *shelving.__all__]

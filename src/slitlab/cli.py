@@ -27,7 +27,7 @@ import shutil
 import sys
 import tempfile
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,16 +73,6 @@ BLOCKS_PER_WORKER = 2
 # (measurement.sampler_footprint_bytes): 2 GiB, about 6.7e7 electrons.
 MAX_SAMPLER_BYTES = 2 * 2**30
 
-# Float parameters and the flags that set them; each must be finite and positive.
-_FLOAT_FLAGS = {
-    "total_time": "--total-time",
-    "wavelength": "--wavelength",
-    "hole_width": "--hole-width",
-    "separation": "--separation",
-    "distance": "--distance",
-}
-
-
 class ConfigError(ValueError):
     """Invalid command line, config file, or parameter combination."""
 
@@ -90,17 +80,46 @@ class ConfigError(ValueError):
 _DEFAULT_GEOMETRY = default_geometry()
 
 
+def _finite_positive(value: float) -> str | None:
+    if not math.isfinite(value):
+        return f"must be finite, got {value!r}"
+    return None if value > 0 else f"must be positive, got {value!r}"
+
+
+def _at_least_one(value: int) -> str | None:
+    return None if value >= 1 else "must be at least 1"
+
+
+def _non_negative(value: int) -> str | None:
+    return None if value >= 0 else f"must be non-negative, got {value}"
+
+
+def _param(default, flag: str, check: Callable[..., str | None], help: str):
+    """A run parameter: a RunConfig field set by ``flag`` or by its config key.
+
+    Its type is its default's.  ``check`` returns what is wrong with a
+    value, or None when the value is acceptable.
+    """
+    metadata = {"flag": flag, "type": type(default), "check": check, "help": help}
+    return dataclasses.field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
     experiment: str
     output_dir: Path
-    n_electrons: int = 100_000
-    total_time: float = 30.0
-    seed: int = 0
-    wavelength: float = _DEFAULT_GEOMETRY.de_broglie_wavelength
-    hole_width: float = _DEFAULT_GEOMETRY.hole_width_a
-    separation: float = _DEFAULT_GEOMETRY.hole_separation
-    distance: float = _DEFAULT_GEOMETRY.wall_to_backstop
+    n_electrons: int = _param(100_000, "--n", _at_least_one, "number of electrons")
+    total_time: float = _param(30.0, "--total-time", _finite_positive,
+                               "shelving observation time (s)")
+    seed: int = _param(0, "--seed", _non_negative, "random seed (default 0)")
+    wavelength: float = _param(_DEFAULT_GEOMETRY.de_broglie_wavelength, "--wavelength",
+                               _finite_positive, "de Broglie wavelength (m)")
+    hole_width: float = _param(_DEFAULT_GEOMETRY.hole_width_a, "--hole-width",
+                               _finite_positive, "width of each hole (m)")
+    separation: float = _param(_DEFAULT_GEOMETRY.hole_separation, "--separation",
+                               _finite_positive, "hole center-to-center separation (m)")
+    distance: float = _param(_DEFAULT_GEOMETRY.wall_to_backstop, "--distance",
+                             _finite_positive, "wall-to-backstop distance (m)")
 
     def geometry(self) -> SlitGeometry:
         """The default geometry with this run's wavelength, holes and distance."""
@@ -114,6 +133,11 @@ class RunConfig:
         )
 
 
+# The run parameters by config key: the flag without its dashes, "_" for "-".
+_PARAMS = {param.metadata["flag"][2:].replace("-", "_"): param
+           for param in dataclasses.fields(RunConfig) if "flag" in param.metadata}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for numerics
         raise ConfigError(message)
@@ -121,19 +145,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     # No prefixes: _attach_float_values knows only the full flag names.
-    parser = _Parser(prog="slitlab", description=__doc__, add_help=True, allow_abbrev=False)
+    parser = _Parser(prog="slitlab", description=__doc__, add_help=True, allow_abbrev=False,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("experiment_pos", nargs="?", metavar="EXPERIMENT",
                         help="one of: " + ", ".join(EXPERIMENTS))
     parser.add_argument("--experiment", help="experiment to run (alternative to the positional)")
-    parser.add_argument("--n", type=int, dest="n_electrons", help="number of electrons")
-    parser.add_argument("--total-time", type=float, help="shelving observation time (s)")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="key=value config file; flags win on conflict")
-    parser.add_argument("--wavelength", type=float, help="de Broglie wavelength (m)")
-    parser.add_argument("--hole-width", type=float, help="width of each hole (m)")
-    parser.add_argument("--separation", type=float, help="hole center-to-center separation (m)")
-    parser.add_argument("--distance", type=float, help="wall-to-backstop distance (m)")
+    for param in _PARAMS.values():
+        parser.add_argument(param.metadata["flag"], type=param.metadata["type"], dest=param.name,
+                            help=param.metadata["help"])
     return parser
 
 
@@ -154,20 +175,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_FILE_KEYS = {
-    "experiment": str,
-    "n": int,
-    "n_electrons": int,
-    "total_time": float,
-    "seed": int,
-    "out": str,
-    "wavelength": float,
-    "hole_width": float,
-    "separation": float,
-    "distance": float,
-}
-
-
 def _is_float(token: str) -> bool:
     try:
         float(token)
@@ -182,9 +189,11 @@ def _attach_float_values(argv: list[str]) -> list[str]:
     argparse reads a token such as -1e-3 or -inf as an option, not as the
     flag's value; joined as ``--flag=value`` it reaches the checks below.
     """
+    float_flags = {param.metadata["flag"] for param in _PARAMS.values()
+                   if param.metadata["type"] is float}
     joined: list[str] = []
     for token in argv:
-        if (joined and joined[-1] in _FLOAT_FLAGS.values()
+        if (joined and joined[-1] in float_flags
                 and token.startswith("-") and _is_float(token)):
             joined[-1] += "=" + token
         else:
@@ -194,13 +203,15 @@ def _attach_float_values(argv: list[str]) -> list[str]:
 
 def parse_args(argv: list[str]) -> RunConfig:
     ns = _build_parser().parse_args(_attach_float_values(argv))
+    file_types = {"experiment": str, "out": str}
+    file_types.update((key, param.metadata["type"]) for key, param in _PARAMS.items())
     file_values: dict[str, object] = {}
     if ns.config:
         for key, raw in _read_config_file(ns.config).items():
-            if key not in _FILE_KEYS:
+            if key not in file_types:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                file_values["n_electrons" if key == "n" else key] = _FILE_KEYS[key](raw)
+                file_values[key] = file_types[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
@@ -221,25 +232,16 @@ def parse_args(argv: list[str]) -> RunConfig:
     if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
         raise ConfigError(f"--out {out} exists and is not an empty directory")
 
-    config = RunConfig(experiment=str(experiment), output_dir=out)
-    for attr in ("n_electrons", "total_time", "seed", "wavelength",
-                 "hole_width", "separation", "distance"):
-        flag = getattr(ns, attr, None)
-        if flag is not None:
-            setattr(config, attr, flag)
-        elif attr in file_values:
-            setattr(config, attr, file_values[attr])
-
-    for attr, flag in _FLOAT_FLAGS.items():
-        value = getattr(config, attr)
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value!r}")
-        if value <= 0:
-            raise ConfigError(f"{flag} must be positive, got {value!r}")
-    if config.n_electrons < 1:
-        raise ConfigError("--n must be at least 1")
-    if config.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {config.seed}")
+    values = {}
+    for key, param in _PARAMS.items():
+        value = getattr(ns, param.name)
+        if value is None:
+            value = file_values.get(key, param.default)
+        problem = param.metadata["check"](value)
+        if problem is not None:
+            raise ConfigError(f"{param.metadata['flag']} {problem}")
+        values[param.name] = value
+    config = RunConfig(experiment=str(experiment), output_dir=out, **values)
     if config.experiment in TWO_HOLE_EXPERIMENTS:
         try:
             config.geometry()

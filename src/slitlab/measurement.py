@@ -54,9 +54,9 @@ class OutcomeTag(enum.Enum):
     NOT_SEEN = "not_seen"
 
 
-# The order outcomes partition a uniform draw in; sample_arrivals returns
-# indices into it.
-OUTCOME_ORDER = (OutcomeTag.SEEN_AT_A, OutcomeTag.SEEN_AT_B, OutcomeTag.NOT_SEEN)
+# The order outcomes partition a uniform draw in, the enum's own;
+# sample_arrivals returns indices into it.
+OUTCOME_ORDER = tuple(OutcomeTag)
 
 # Per regime: the ensemble density, and the branch density of each outcome
 # that can occur.  An outcome missing from a regime has probability 0 there.
@@ -73,12 +73,14 @@ _REGIMES: dict[Illumination, tuple[str, dict[OutcomeTag, str]]] = {
 }
 
 
-@lru_cache(maxsize=None)
+# Both caches are keyed by geometry and bounded like optics._hole_field: a run
+# uses one geometry, a scan over many keeps only the most recent.
+@lru_cache(maxsize=64)
 def _branch_amplitudes(geom: SlitGeometry) -> tuple[TransverseAmplitude, TransverseAmplitude]:
     return single_hole_amplitude(geom, Hole.A), single_hole_amplitude(geom, Hole.B)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _analytic_density(geom: SlitGeometry, kind: str) -> RealDensity:
     psi_a, psi_b = _branch_amplitudes(geom)
     if kind == "interference":

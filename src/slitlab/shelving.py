@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "default_dark_threshold",
     "default_rates",
     "detect_jumps",
-    "detect_jumps_in_chunks",
     "emit_photons",
     "photon_chunks",
     "score_detections",
@@ -299,20 +298,11 @@ class JumpDetector:
         return inferred
 
 
-def detect_jumps_in_chunks(
-    chunks: Iterable[np.ndarray], total_time: float, dark_threshold: float
-) -> list[tuple[float, float]]:
-    """``JumpDetector`` over ``chunks``, read once and in order."""
-    detector = JumpDetector(total_time, dark_threshold)
-    # map binds no chunk, so none is held while the next one is drawn.
-    for _ in map(detector.feed, chunks):
-        pass
-    return detector.finish()
-
-
 def detect_jumps(record: PhotonRecord, dark_threshold: float) -> list[tuple[float, float]]:
-    """``detect_jumps_in_chunks`` over a whole record held as one chunk."""
-    return detect_jumps_in_chunks([record.arrival_times], record.total_time, dark_threshold)
+    """``JumpDetector`` over a whole record held as one chunk."""
+    detector = JumpDetector(record.total_time, dark_threshold)
+    detector.feed(record.arrival_times)
+    return detector.finish()
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,8 @@ def chi_square_gof(h: Histogram, expected: RealDensity) -> ChiSquareResult:
     CDF (the sampler's convention).  The density must be normalized over
     the histogram range; low-expectation bins are pooled inward from the
     edges, and any interior bin still under 5 expected counts is an error
-    rather than a silently miscalibrated test.
+    rather than a silently miscalibrated test, as is a table pooled down to
+    a single bin.
     """
     cdf = GriddedCdf(expected)
     lo, hi = h.bin_edges[0], h.bin_edges[-1]
@@ -193,6 +194,11 @@ def chi_square_gof(h: Histogram, expected: RealDensity) -> ChiSquareResult:
         )
     expected_counts = cdf.interval_masses(h.bin_edges) * h.n_total
     observed, expected_counts = _merge_edges_inward(h.counts, expected_counts)
+    if observed.size < 2:
+        raise ValueError(
+            "fewer than two bins remain after pooling, so the test has no degrees of freedom; "
+            "use narrower bins or a larger sample"
+        )
     if np.any(expected_counts < MIN_EXPECTED_PER_BIN):
         raise ValueError(
             "expected counts below 5 remain away from the edges; "

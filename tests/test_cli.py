@@ -193,6 +193,39 @@ def test_config_file_provides_defaults_and_flags_win(tmp_path):
     assert summary["seed"] == 6  # flag beats the file
 
 
+# Each run parameter: its flag, its config key, its RunConfig field and a
+# value other than its default.
+RUN_PARAMETERS = [
+    ("--n", "n", "n_electrons", "1500"),
+    ("--total-time", "total_time", "total_time", "12.5"),
+    ("--seed", "seed", "seed", "4"),
+    ("--wavelength", "wavelength", "wavelength", "6e-08"),
+    ("--hole-width", "hole_width", "hole_width", "4e-07"),
+    ("--separation", "separation", "separation", "6e-06"),
+    ("--distance", "distance", "distance", "1.5"),
+]
+
+
+@pytest.mark.parametrize("flag, key, field, value", RUN_PARAMETERS)
+def test_flag_and_config_key_set_the_same_parameter(tmp_path, flag, key, field, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    from_flag = parse_args(["g1", "--out", "x", flag, value])
+    from_file = parse_args(["g1", "--out", "x", "--config", str(cfg)])
+    assert from_flag == from_file
+    assert getattr(from_flag, field) != getattr(parse_args(["g1", "--out", "x"]), field)
+
+
+def test_help_lists_each_experiment_on_its_own_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for experiment in cli.EXPERIMENTS:
+        row = next(line for line in cli.__doc__.splitlines() if line.split()[:1] == [experiment])
+        assert row in lines
+
+
 class TestExitCodes:
     def test_unknown_experiment_is_config_error(self, tmp_path, capsys):
         assert main(["g9", "--out", str(tmp_path / "x")]) == 1
@@ -248,6 +281,12 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense_key=1\n")
         assert main(["g1", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 1
+
+    def test_second_name_for_n_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_electrons=1500\n")
+        assert main(["g1", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 1
+        assert "unknown config key 'n_electrons'" in capsys.readouterr().err
 
     def test_conflicting_experiments_rejected(self, tmp_path):
         assert main(["g1", "--experiment", "g2", "--out", str(tmp_path / "x")]) == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slitlab import measurement
 from slitlab.measurement import (
     OUTCOME_ORDER,
     Illumination,
@@ -230,6 +231,21 @@ class TestMeasurementProperties:
             drawn = {OUTCOME_ORDER[i] for i in np.unique(index)}
             assert all(probs[tag] > 0 for tag in drawn), (config, drawn)
             assert positions.shape == (2000,)
+
+
+def test_geometry_caches_stay_bounded():
+    # A scan over more geometries than the caches hold keeps only the most
+    # recent ones (each geometry has up to four cached densities).
+    rng = np.random.default_rng(600)
+    for _ in range(100):
+        geom = random_far_field_geometry(rng, grid_points=256)
+        for config in Illumination:
+            for tag, p in outcome_probabilities(config, geom).items():
+                if p > 0:
+                    conditional_density(config, tag, geom)
+            ensemble_density(config, geom)
+    for cache in (measurement._branch_amplitudes, measurement._analytic_density):
+        assert cache.cache_info().currsize <= 64, cache.cache_info()
 
 
 @pytest.mark.parametrize("illumination", Illumination)

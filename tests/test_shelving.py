@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from slitlab.shelving import (
     IonState,
+    JumpDetector,
     PhotonRecord,
     TelegraphTrajectory,
     VSystemRates,
@@ -15,7 +16,6 @@ from slitlab.shelving import (
     default_dark_threshold,
     default_rates,
     detect_jumps,
-    detect_jumps_in_chunks,
     emit_photons,
     photon_chunks,
     score_detections,
@@ -134,8 +134,11 @@ def stream_peak(total_time: float) -> tuple[int, int]:
     rng.bit_generator.state = photon_state
     tracemalloc.start()
     try:
-        detect_jumps_in_chunks(photon_chunks(traj, rates, rng), total_time,
-                               default_dark_threshold(rates))
+        detector = JumpDetector(total_time, default_dark_threshold(rates))
+        # map binds no chunk, so none is held while the next one is drawn.
+        for _ in map(detector.feed, photon_chunks(traj, rates, rng)):
+            pass
+        detector.finish()
         return tracemalloc.get_traced_memory()[1], longest
     finally:
         tracemalloc.stop()
@@ -345,16 +348,21 @@ class TestChunkedDetector:
     def test_chunks_give_the_whole_record_list(self, case, threshold):
         record, chunks = case
         expected = detect_jumps(record, threshold)
-        assert detect_jumps_in_chunks(iter(chunks), record.total_time, threshold) == expected
+        detector = JumpDetector(record.total_time, threshold)
+        for chunk in chunks:
+            detector.feed(chunk)
+        assert detector.finish() == expected
 
     def test_no_chunks_is_an_empty_record(self):
-        assert detect_jumps_in_chunks(iter([]), 3.0, 1.0) == [(0.0, 3.0)]
-        assert detect_jumps_in_chunks([np.empty(0)], 3.0, 4.0) == []
+        assert JumpDetector(3.0, 1.0).finish() == [(0.0, 3.0)]
+        detector = JumpDetector(3.0, 4.0)
+        detector.feed(np.empty(0))
+        assert detector.finish() == []
 
     @pytest.mark.parametrize("total_time", [float("nan"), float("inf"), -1.0])
     def test_total_time_must_be_finite_and_nonnegative(self, total_time):
         with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
-            detect_jumps_in_chunks([], total_time, 1.0)
+            JumpDetector(total_time, 1.0)
 
     def test_streamed_run_matches_the_whole_record(self):
         rates = default_rates()
@@ -362,7 +370,10 @@ class TestChunkedDetector:
         rng = np.random.default_rng(13)
         traj = simulate_trajectory(rates, 40.0, rng)
         photon_state = rng.bit_generator.state
-        streamed = detect_jumps_in_chunks(photon_chunks(traj, rates, rng), 40.0, threshold)
+        detector = JumpDetector(40.0, threshold)
+        for chunk in photon_chunks(traj, rates, rng):
+            detector.feed(chunk)
+        streamed = detector.finish()
         rng.bit_generator.state = photon_state
         assert streamed == detect_jumps(emit_photons(traj, rates, rng), threshold)
         assert len(streamed) > 5

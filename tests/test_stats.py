@@ -199,6 +199,18 @@ class TestChiSquare:
         with pytest.raises(ValueError, match="below 5"):
             chi_square_gof(hist, windowed)
 
+    def test_table_pooled_to_one_bin_is_an_error(self):
+        # Six arrivals in two bins over the window: each bin expects 3, so
+        # edge pooling leaves one bin, and a one-bin table has no degrees
+        # of freedom to test with.
+        half = 6 * GEOM.fringe_period
+        windowed = OFF_DENSITY.restrict(-half, half)
+        lo, hi = windowed.x[0], windowed.x[-1]
+        sample = sample_positions(windowed, 6, np.random.default_rng(13))
+        hist = histogram(filter_positions(sample, lo, hi), 2, (lo, hi))
+        with pytest.raises(ValueError, match="fewer than two bins"):
+            chi_square_gof(hist, windowed)
+
     def test_edge_merging_pools_starved_tails(self):
         # A narrow bump leaves the outermost bins with almost no expected
         # mass; merging from the edges inward leaves a valid, smaller table.
@@ -339,6 +351,18 @@ def test_importing_slitlab_loads_no_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]", f"importing slitlab loaded {out.strip()}"
+
+
+def test_package_exports_every_module_all():
+    import slitlab
+    from slitlab import JumpDetector, photon_chunks  # what the CLI streams with
+
+    assert (JumpDetector, photon_chunks) == (slitlab.shelving.JumpDetector,
+                                             slitlab.shelving.photon_chunks)
+    for module in (slitlab.optics, slitlab.measurement, slitlab.stats, slitlab.shelving):
+        for name in module.__all__:
+            assert name in slitlab.__all__
+            assert getattr(slitlab, name) is getattr(module, name)
 
 
 class TestFringeVisibilityEstimator:
