@@ -59,8 +59,8 @@ EXIT_IO = 3
 # stats.VISIBILITY_HALF_PERIODS and stats.CHI2_HALF_PERIODS.
 VISIBILITY_HALF_PERIODS = 1
 
-# CSV rows are formatted and written this many at a time, so the writer's
-# memory depends on the block, not on the length of the record.
+# CSV rows are formatted and written, and two-hole electrons drawn, this many
+# at a time, so memory depends on the block, not on the length of the record.
 CSV_BLOCK_ROWS = 65_536
 
 # A table that reaches this many rows has its blocks formatted by a forked
@@ -68,10 +68,6 @@ CSV_BLOCK_ROWS = 65_536
 # worker in flight; a shorter table would not repay the fork.
 POOL_MIN_ROWS = CSV_BLOCK_ROWS
 BLOCKS_PER_WORKER = 2
-
-# Largest sampler footprint a two-hole run may ask for
-# (measurement.sampler_footprint_bytes): 2 GiB, about 6.7e7 electrons.
-MAX_SAMPLER_BYTES = 2 * 2**30
 
 class ConfigError(ValueError):
     """Invalid command line, config file, or parameter combination."""
@@ -247,12 +243,6 @@ def parse_args(argv: list[str]) -> RunConfig:
             config.geometry()
         except ValueError as exc:
             raise ConfigError(f"bad geometry: {exc}") from exc
-        footprint = measurement.sampler_footprint_bytes(config.n_electrons)
-        if footprint > MAX_SAMPLER_BYTES:
-            raise ConfigError(
-                f"--n {config.n_electrons} needs about {footprint / 2**20:.0f} MiB to sample, "
-                f"over the {MAX_SAMPLER_BYTES / 2**20:.0f} MiB cap"
-            )
     return config
 
 
@@ -427,67 +417,63 @@ def _write_config_echo(path: Path, entries: dict) -> None:
 def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
     """g1, g2, g3 and g3_early_off: a sighting outcome per electron, then its position.
 
-    The outcome is informative unless every electron goes unseen (g1,
-    g3_early_off).  Only an informative outcome adds the outcome column,
-    the per-outcome chi-square p-values and, for each outcome that can
-    occur, a density column of its probability times its branch density:
-    hole A's branch, then hole B's (reached by a sighting in g2, by a null
-    observation in g3).  Chi-square fields are null when too few arrivals
-    fall in the window for the test, and the sampled visibility is null
-    when none falls in its window.
+    Each block of electrons goes to samples.csv and to the statistics in
+    one pass.  The outcome is informative unless every electron goes unseen
+    (g1, g3_early_off); only then does a run add the outcome column, the
+    per-outcome chi-square p-values and, for each possible outcome, a
+    density column of its probability times its branch density (hole A's,
+    then hole B's, reached by a sighting in g2 and by a null observation in
+    g3).  Chi-square fields are null when too few arrivals fall in the
+    window for the test, and the sampled visibility when none falls in its.
     """
     geom = config.geometry()
     illumination = _ILLUMINATION[config.experiment]
     density = measurement.ensemble_density(illumination, geom)
     probs = measurement.outcome_probabilities(illumination, geom)
     informative = probs[OutcomeTag.NOT_SEEN] < 1.0
-    rng = np.random.default_rng(config.seed)
-    outcome_index, positions = measurement.sample_arrivals(
-        illumination, geom, config.n_electrons, rng
-    )
+    branches = {tag: measurement.conditional_density(illumination, tag, geom)
+                for tag in OUTCOME_ORDER if informative and probs[tag] > 0}
+    density_header = ["x_m", "analytic_density_per_m"]
+    if informative:
+        density_header += ["hole_a_component_per_m", "hole_b_component_per_m"]
+    _write_csv(out / "density.csv", density_header, [[density.x, density.values] + [
+        probs[tag] * branch.values for tag, branch in branches.items()]])
 
-    period = geom.fringe_period
-    sample = stats.PositionSample(positions, geom)
-    window_arrivals = stats.visibility_window(sample).size
-    visibility_sampled = (
-        stats.fringe_visibility_from_positions(sample) if window_arrivals else None
-    )
-    chi2, n_bins = stats.windowed_chi2(positions, density)
+    chi2 = stats.WindowedChi2(density, len(OUTCOME_ORDER))
+    fringes = stats.FringeVisibility(geom)
+    outcome_counts = np.zeros(len(OUTCOME_ORDER), dtype=np.int64)
+    names = tuple(tag.value for tag in OUTCOME_ORDER)
+
+    def measured(block: tuple[np.ndarray, np.ndarray]) -> list:
+        outcome_index, positions = block
+        chi2.feed(positions, outcome_index)
+        fringes.feed(positions)
+        outcome_counts[:] += np.bincount(outcome_index, minlength=len(OUTCOME_ORDER))
+        return [positions, _Labels(names, outcome_index)] if informative else [positions]
+
+    rng = np.random.default_rng(config.seed)
+    blocks = measurement.arrival_blocks(illumination, geom, config.n_electrons, rng)
+    _write_csv(out / "samples.csv", ["x_m", "outcome"] if informative else ["x_m"],
+               map(measured, blocks))
+
+    fit, n_bins = chi2.finish()
     summary = {
         "experiment": config.experiment,
         "n_electrons": config.n_electrons,
         "seed": config.seed,
-        "visibility_analytic": visibility(density, (-period, period)),
-        "visibility_sampled": visibility_sampled,
-        "visibility_window_arrivals": window_arrivals,
-        "visibility_noise_floor": 2 / math.sqrt(window_arrivals) if window_arrivals else None,
+        "visibility_analytic": visibility(density, (-geom.fringe_period, geom.fringe_period)),
+        "visibility_sampled": fringes.finish() if fringes.arrivals else None,
+        "visibility_window_arrivals": fringes.arrivals,
+        "visibility_noise_floor": 2 / math.sqrt(fringes.arrivals) if fringes.arrivals else None,
         "chi2_bins": n_bins,
     }
     for field in ("statistic", "dof", "p_value"):
-        summary[f"chi2_{field}"] = None if chi2 is None else getattr(chi2, field)
-    density_columns = [density.x, density.values]
-    density_header = ["x_m", "analytic_density_per_m"]
+        summary[f"chi2_{field}"] = None if fit is None else getattr(fit, field)
     for idx, tag in enumerate(OUTCOME_ORDER):
-        mask = outcome_index == idx
-        summary[f"frac_{tag.value}"] = float(mask.mean())
-        if informative and probs[tag] > 0:
-            conditional = measurement.conditional_density(illumination, tag, geom)
-            branch_chi2, _ = stats.windowed_chi2(positions[mask], conditional)
-            summary[f"chi2_p_value_{tag.value}"] = (
-                None if branch_chi2 is None else branch_chi2.p_value
-            )
-            density_columns.append(probs[tag] * conditional.values)
-
-    sample_columns = [positions]
-    sample_header = ["x_m"]
-    if informative:
-        density_header += ["hole_a_component_per_m", "hole_b_component_per_m"]
-        sample_columns.append(_Labels(tuple(tag.value for tag in OUTCOME_ORDER), outcome_index))
-        sample_header.append("outcome")
-    # Only the tables keep n-sized arrays alive while they are written.
-    del mask, outcome_index
-    _write_csv(out / "density.csv", density_header, [density_columns])
-    _write_csv(out / "samples.csv", sample_header, [sample_columns])
+        summary[f"frac_{tag.value}"] = int(outcome_counts[idx]) / config.n_electrons
+        if tag in branches:
+            fit, _ = chi2.finish(branches[tag], idx)
+            summary[f"chi2_p_value_{tag.value}"] = None if fit is None else fit.p_value
     echo = {
         "n": config.n_electrons,
         "wavelength": config.wavelength,

@@ -6,13 +6,15 @@ Sighting an electron collapses the coherent two-hole state to the seen
 hole's branch.  With only hole A lit for the full window, *not* sighting
 the electron is itself conclusive and collapses the state to the hole-B
 branch (a null observation); if the light went out early, nothing was
-learned and the coherent state survives.  ``sample_arrivals`` draws each
+learned and the coherent state survives.  ``arrival_blocks`` draws each
 electron's outcome, then its position from that outcome's branch.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -31,11 +33,10 @@ __all__ = [
     "OUTCOME_ORDER",
     "Illumination",
     "OutcomeTag",
+    "arrival_blocks",
     "conditional_density",
     "ensemble_density",
     "outcome_probabilities",
-    "sample_arrivals",
-    "sampler_footprint_bytes",
 ]
 
 
@@ -55,7 +56,7 @@ class OutcomeTag(enum.Enum):
 
 
 # The order outcomes partition a uniform draw in, the enum's own;
-# sample_arrivals returns indices into it.
+# arrival_blocks yields indices into it.
 OUTCOME_ORDER = tuple(OutcomeTag)
 
 # Per regime: the ensemble density, and the branch density of each outcome
@@ -116,53 +117,38 @@ def outcome_probabilities(
     return probs
 
 
-# sample_arrivals holds three n-long arrays of 8-byte values together (the
-# outcome indices, the position uniforms and the positions), plus one
-# outcome's gathered uniforms and their positions while that outcome is placed.
-SAMPLER_BYTES_PER_ELECTRON = 32
-
-
-def sampler_footprint_bytes(n: int) -> int:
-    """Estimated peak memory of ``sample_arrivals`` for ``n`` electrons."""
-    return SAMPLER_BYTES_PER_ELECTRON * n
-
-
-def sample_arrivals(
+def arrival_blocks(
     illumination: Illumination, geom: SlitGeometry, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Draw ``n`` electrons' sighting outcomes, then each one's arrival position.
 
-    Returns ``(outcome_index, positions)``, the index pointing into
-    ``OUTCOME_ORDER``.  Outcomes come from one uniform variate each,
-    partitioned by cumulative probability in that order, so an outcome of
-    probability 0 is never drawn; a second batch of uniforms then places
-    each electron by inverting its outcome's conditional density.  When
-    every electron goes unseen (no light, or light cut early) the outcome
-    draw is skipped and the positions are exactly
-    ``stats.sample_positions`` of the not-seen density with the same
-    generator.
+    Yields ``(outcome_index, positions)`` per block of ``cli.CSV_BLOCK_ROWS``
+    electrons, the index pointing into ``OUTCOME_ORDER``.  Outcomes partition
+    one uniform each by cumulative probability in that order, so none of
+    probability 0 is drawn, and none at all where only one can occur (no
+    light, or light cut early); a second uniform inverts the outcome's
+    conditional density.  The blocks join into two one-shot ``rng.random(n)``
+    draws: the positions read a copy of ``rng`` advanced past the outcomes.
     """
+    from .cli import CSV_BLOCK_ROWS  # the CSV writer's block; cli imports this module
     probs = outcome_probabilities(illumination, geom)
-    not_seen = OUTCOME_ORDER.index(OutcomeTag.NOT_SEEN)
-    if probs[OutcomeTag.NOT_SEEN] == 1.0:
-        density = conditional_density(illumination, OutcomeTag.NOT_SEEN, geom)
-        sample = stats.sample_positions(density, n, rng)
-        return np.full(n, not_seen), sample.positions
-
-    weights = [probs[tag] for tag in OUTCOME_ORDER]
-    # A draw past the last edge (rounding leaves the total a hair below 1)
-    # goes to the last possible outcome.
-    last = max(i for i, weight in enumerate(weights) if weight > 0)
-    outcome_index = np.searchsorted(np.cumsum(weights), rng.random(n), side="right")
-    outcome_index = np.minimum(outcome_index, last)
-    u_position = rng.random(n)
-    positions = np.empty(n, dtype=float)
-    for idx, tag in enumerate(OUTCOME_ORDER):
-        mask = outcome_index == idx
-        if mask.any():
-            density = conditional_density(illumination, tag, geom)
-            positions[mask] = stats.GriddedCdf(density).ppf(u_position[mask])
-    return outcome_index, positions
+    cdfs = {idx: stats.GriddedCdf(conditional_density(illumination, tag, geom))
+            for idx, tag in enumerate(OUTCOME_ORDER) if probs[tag] > 0}
+    # Rounding can leave a draw past the last edge; it goes to the last possible outcome.
+    edges, last = np.cumsum([probs[tag] for tag in OUTCOME_ORDER]), max(cdfs)
+    position_rng = copy.deepcopy(rng)
+    position_rng.bit_generator.advance(n if len(cdfs) > 1 else 0)  # PCG64's jump-ahead
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        size = min(CSV_BLOCK_ROWS, n - start)
+        index = np.full(size, last)
+        if len(cdfs) > 1:
+            index = np.minimum(np.searchsorted(edges, rng.random(size), side="right"), last)
+        u_position = position_rng.random(size)
+        positions = np.empty(size, dtype=float)
+        for idx, cdf in cdfs.items():
+            mask = index == idx
+            positions[mask] = cdf.ppf(u_position[mask])
+        yield index, positions
 
 
 def ensemble_density(illumination: Illumination, geom: SlitGeometry) -> RealDensity:

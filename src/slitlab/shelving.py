@@ -111,11 +111,12 @@ class TelegraphTrajectory:
         if not self.intervals:
             raise ValueError("trajectory needs at least one interval")
         for (state, duration) in self.intervals:
-            if duration <= 0:
-                raise ValueError("interval durations must be positive")
+            if not 0 < duration < math.inf:  # so that NaN fails too
+                raise ValueError(f"interval durations must be positive and finite: {duration!r}")
         for (a, _), (b, _) in zip(self.intervals, self.intervals[1:]):
             if a is b:
                 raise ValueError("states must strictly alternate")
+        _check_total_time(self.total_time)
         span = sum(d for _, d in self.intervals)
         if abs(span - self.total_time) > DURATION_SUM_RTOL * self.total_time:
             raise ValueError("durations must sum to total_time")
@@ -209,7 +210,6 @@ def photon_chunks(
     a valid record; a dwell left without photons yields nothing.  Memory
     is set by the longest bright dwell, not by ``total_time``.
     """
-    _check_total_time(traj.total_time)
     last = -math.inf
     for state, start, end in traj.absolute_intervals():
         if state is not IonState.BRIGHT:

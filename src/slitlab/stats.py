@@ -19,29 +19,29 @@ from .optics import RealDensity, SlitGeometry
 
 __all__ = [
     "ChiSquareResult",
+    "FringeVisibility",
     "GriddedCdf",
     "Histogram",
     "KsResult",
     "PositionSample",
+    "WindowedChi2",
     "chi_square_gof",
     "filter_positions",
     "fringe_visibility_from_positions",
     "histogram",
     "ks_exponential",
     "sample_positions",
-    "visibility_window",
-    "windowed_chi2",
 ]
 
 NORMALIZATION_TOL = 1e-9
 MIN_EXPECTED_PER_BIN = 5.0
-# windowed_chi2 conditions on +-CHI2_HALF_PERIODS fringe periods, a central
+# WindowedChi2 conditions on +-CHI2_HALF_PERIODS fringe periods, a central
 # stretch where every fringe-minimum bin still expects >= 5 counts at the
 # default sample size, and tries these bin counts, finest first.
 CHI2_HALF_PERIODS = 6
 CHI2_BIN_LADDER = (96, 64, 48, 32, 24, 16, 12, 8)
-# fringe_visibility_from_positions reads the arrivals within
-# +-VISIBILITY_HALF_PERIODS fringe periods (visibility_window).
+# FringeVisibility reads the arrivals within +-VISIBILITY_HALF_PERIODS
+# fringe periods.
 VISIBILITY_HALF_PERIODS = 3
 
 
@@ -60,7 +60,6 @@ class GriddedCdf:
         cumulative = np.concatenate(([0.0], np.cumsum(cell_mass)))
         self.x = x
         self.cumulative = cumulative
-        self.total = float(cumulative[-1])
 
     def cdf(self, q) -> np.ndarray:
         return np.interp(q, self.x, self.cumulative)
@@ -83,13 +82,11 @@ class PositionSample:
         positions = np.asarray(self.positions, dtype=float)
         positions.flags.writeable = False
         object.__setattr__(self, "positions", positions)
-        if positions.size and (
-            positions.min() < self.geometry.grid_min or positions.max() > self.geometry.grid_max
+        # Written so that a NaN position, which every comparison fails, is rejected.
+        if positions.size and not (
+            positions.min() >= self.geometry.grid_min and positions.max() <= self.geometry.grid_max
         ):
             raise ValueError("positions fall outside the geometry grid")
-
-    def __len__(self) -> int:
-        return int(self.positions.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,30 +207,53 @@ def chi_square_gof(h: Histogram, expected: RealDensity) -> ChiSquareResult:
     return ChiSquareResult(statistic, dof, p_value)
 
 
-def windowed_chi2(
-    positions: np.ndarray, density: RealDensity
-) -> tuple[ChiSquareResult | None, int | None]:
-    """Chi-square of arrivals against a density over the central fringes.
+class WindowedChi2:
+    """Chi-square of arrivals, fed a block at a time, over the central fringes.
 
-    Conditions both on the window of +-``CHI2_HALF_PERIODS`` fringe periods and
-    bins it with the finest count on ``CHI2_BIN_LADDER`` that, after edge
-    pooling, leaves at least two bins each expecting >= 5 counts.  Returns
-    the fit and that bin count, or ``(None, None)`` when no count on the
-    ladder qualifies (too few arrivals in the window for the test).
+    Arrivals within +-``CHI2_HALF_PERIODS`` fringe periods, a window every
+    density on one geometry shares, are counted per group (such as the run's
+    outcome index) below each edge of every bin count on ``CHI2_BIN_LADDER``,
+    so each bin count's differences are ``histogram``'s counts.
     """
-    geom = density.geometry
-    half = CHI2_HALF_PERIODS * geom.fringe_period
-    windowed = density.restrict(-half, half)
-    lo, hi = windowed.x[0], windowed.x[-1]
-    conditioned = filter_positions(PositionSample(positions, geom), lo, hi)
-    cdf = GriddedCdf(windowed)
-    for n_bins in CHI2_BIN_LADDER:
-        expected = cdf.interval_masses(np.linspace(lo, hi, n_bins + 1)) * len(conditioned)
-        _, pooled = _merge_edges_inward(np.zeros(n_bins), expected)
-        if pooled.size > 1 and np.all(pooled >= MIN_EXPECTED_PER_BIN):
-            hist = histogram(conditioned, n_bins, (lo, hi))
-            return chi_square_gof(hist, windowed), n_bins
-    return None, None
+
+    def __init__(self, density: RealDensity, n_groups: int = 1) -> None:
+        self.density = density
+        self._half = CHI2_HALF_PERIODS * density.geometry.fringe_period
+        windowed = density.restrict(-self._half, self._half)
+        self.lo, self.hi = windowed.x[0], windowed.x[-1]
+        # The last edge, inf, counts every arrival in the window.
+        self._edges = np.append(np.unique(np.concatenate(
+            [np.linspace(self.lo, self.hi, n_bins + 1) for n_bins in CHI2_BIN_LADDER])), np.inf)
+        self._below = np.zeros((n_groups, self._edges.size), dtype=np.int64)
+
+    def feed(self, positions: np.ndarray, groups: np.ndarray | None = None) -> None:
+        """Count the next arrivals; ``groups`` gives each one's, if there are several."""
+        inside = (positions >= self.lo) & (positions <= self.hi)
+        for group, below in enumerate(self._below):
+            selected = positions[inside if groups is None else inside & (groups == group)]
+            below += np.searchsorted(np.sort(selected), self._edges)
+
+    def finish(
+        self, density: RealDensity | None = None, group: int | None = None
+    ) -> tuple[ChiSquareResult | None, int | None]:
+        """Fit of one group's arrivals, or of all, against ``density`` (by
+        default the accumulator's) at the finest bin count that, after edge
+        pooling, leaves two or more bins each expecting >= 5 counts, or
+        ``(None, None)`` when none does (too few arrivals in the window)."""
+        windowed = (density or self.density).restrict(-self._half, self._half)
+        if (windowed.x[0], windowed.x[-1]) != (self.lo, self.hi):
+            raise ValueError("the density's window is not the one the arrivals were counted in")
+        below = self._below.sum(axis=0) if group is None else self._below[group]
+        n_total = int(below[-1])
+        cdf = GriddedCdf(windowed)
+        for n_bins in CHI2_BIN_LADDER:
+            edges = np.linspace(self.lo, self.hi, n_bins + 1)
+            _, pooled = _merge_edges_inward(np.zeros(n_bins), cdf.interval_masses(edges) * n_total)
+            if pooled.size > 1 and np.all(pooled >= MIN_EXPECTED_PER_BIN):
+                # The last bin also holds the arrivals at hi, so it ends at inf.
+                counts = np.diff(below[np.append(np.searchsorted(self._edges, edges[:-1]), -1)])
+                return chi_square_gof(Histogram(edges, counts, n_total), windowed), n_bins
+        return None, None
 
 
 def ks_exponential(durations, rate: float) -> KsResult:
@@ -263,25 +283,33 @@ def ks_exponential(durations, rate: float) -> KsResult:
     return KsResult(float(statistic), float(p_value))
 
 
-def visibility_window(sample: PositionSample) -> np.ndarray:
-    """The positions within ±``VISIBILITY_HALF_PERIODS`` fringe periods of the axis."""
-    half = VISIBILITY_HALF_PERIODS * sample.geometry.fringe_period
-    return sample.positions[np.abs(sample.positions) <= half]
+class FringeVisibility:
+    """Fringe contrast of arrivals, fed a block at a time, from their first harmonic.
+
+    Over ±``VISIBILITY_HALF_PERIODS`` fringe periods (a whole number keeps
+    the harmonic orthogonal to the envelope), twice the modulus of the mean
+    phase factor at the fringe frequency estimates (P_max-P_min)/(P_max+P_min),
+    free of the upward bias that counting noise gives histogram extrema.
+    """
+
+    def __init__(self, geometry: SlitGeometry) -> None:
+        self.period = geometry.fringe_period
+        self.arrivals = 0
+        self._harmonic = np.complex128(0)
+
+    def feed(self, positions: np.ndarray) -> None:
+        selected = positions[np.abs(positions) <= VISIBILITY_HALF_PERIODS * self.period]
+        self.arrivals += selected.size
+        self._harmonic += np.sum(np.exp(1j * (2 * np.pi * selected / self.period)))
+
+    def finish(self) -> float:
+        if not self.arrivals:
+            raise ValueError("no positions inside the central fringe window")
+        return float(2 * np.abs(self._harmonic / self.arrivals))
 
 
 def fringe_visibility_from_positions(sample: PositionSample) -> float:
-    """Fringe contrast of sampled arrivals from their first harmonic.
-
-    Restricted to the central window of ±``VISIBILITY_HALF_PERIODS``
-    fringe periods (a whole number of periods keeps the harmonic orthogonal
-    to the envelope), the modulus of the empirical first Fourier coefficient at
-    the fringe frequency, times two, estimates (P_max-P_min)/(P_max+P_min)
-    of the underlying pattern.  Unlike histogram extrema it is unbiased
-    under Poisson counting noise at these sample sizes.
-    """
-    period = sample.geometry.fringe_period
-    selected = visibility_window(sample)
-    if selected.size == 0:
-        raise ValueError("no positions inside the central fringe window")
-    phases = 2 * np.pi * selected / period
-    return float(2 * np.abs(np.mean(np.exp(1j * phases))))
+    """``FringeVisibility`` of a whole sample."""
+    visibility = FringeVisibility(sample.geometry)
+    visibility.feed(sample.positions)
+    return visibility.finish()

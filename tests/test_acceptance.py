@@ -13,10 +13,10 @@ from slitlab.measurement import (
     OUTCOME_ORDER,
     Illumination,
     OutcomeTag,
+    arrival_blocks,
     conditional_density,
     ensemble_density,
     outcome_probabilities,
-    sample_arrivals,
 )
 from slitlab.optics import (
     Hole,
@@ -40,10 +40,9 @@ from slitlab.shelving import (
 from slitlab.stats import (
     CHI2_HALF_PERIODS,
     PositionSample,
+    WindowedChi2,
     fringe_visibility_from_positions,
     ks_exponential,
-    sample_positions,
-    windowed_chi2,
 )
 from test_optics import random_far_field_geometry
 
@@ -59,22 +58,25 @@ def verdict(number, title, ok, detail):
 
 def chi2_p(positions, density):
     """Chi-square p-value of positions against a density over the central window."""
-    result, _ = windowed_chi2(positions, density)
+    chi2 = WindowedChi2(density)
+    chi2.feed(positions)
+    result, _ = chi2.finish()
     return result.p_value
 
 
 def arrivals(config):
-    """Outcome index and arrival position of every electron at the suite's seed."""
-    return sample_arrivals(config, GEOM, N_ELECTRONS, np.random.default_rng(SEED))
+    """Outcome index and arrival position of every electron at the suite's seed,
+    drawn through the block stream of a run."""
+    blocks = list(arrival_blocks(config, GEOM, N_ELECTRONS, np.random.default_rng(SEED)))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def test_criterion_1_interference():
     density = ensemble_density(Illumination.OFF, GEOM)
-    rng = np.random.default_rng(SEED)
-    sample = sample_positions(density, N_ELECTRONS, rng)
-    vis = fringe_visibility_from_positions(sample)
-    p_fit = chi2_p(sample.positions, density)
-    p_wrong = chi2_p(sample.positions, ensemble_density(Illumination.BOTH_HOLES, GEOM))
+    _, positions = arrivals(Illumination.OFF)
+    vis = fringe_visibility_from_positions(PositionSample(positions, GEOM))
+    p_fit = chi2_p(positions, density)
+    p_wrong = chi2_p(positions, ensemble_density(Illumination.BOTH_HOLES, GEOM))
     ok = vis >= 0.90 and p_fit >= 0.01 and p_wrong < 1e-6
     verdict(
         1,
@@ -151,9 +153,8 @@ def test_criterion_5_early_light_off_restoration():
     off = ensemble_density(Illumination.OFF, GEOM)
     early = ensemble_density(Illumination.HOLE_A_EARLY_OFF, GEOM)
     deviation = float(np.max(np.abs(off.values - early.values)))
-    rng = np.random.default_rng(SEED)
-    sample = sample_positions(early, N_ELECTRONS, rng)
-    vis = fringe_visibility_from_positions(sample)
+    _, positions = arrivals(Illumination.HOLE_A_EARLY_OFF)
+    vis = fringe_visibility_from_positions(PositionSample(positions, GEOM))
     ok = deviation <= 1e-12 and vis >= 0.90
     verdict(
         5,

@@ -2,7 +2,8 @@
 
 ``perfbench/child.py`` looks up each ``(owner, attr)`` pair of its
 ``TRACED`` table with ``getattr`` when run with ``--trace 1``; a renamed
-or deleted function would make the traced benchmark fail.
+or deleted function would make the traced benchmark fail, and a count
+it takes from a wrapped call reads wrong if the work bypasses that call.
 ``perfbench/run.py`` keeps its own copy of the oracle's node count for
 its computed kernel counts; if the two drift, those counts go wrong
 without any run failing.
@@ -12,7 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from slitlab import optics
+from slitlab import cli, optics, stats
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,3 +41,24 @@ def test_every_traced_name_resolves(monkeypatch):
 def test_oracle_node_count_copy_matches(monkeypatch):
     run = load_perfbench(monkeypatch, "run")
     assert run.ORACLE_NODES_PER_HOLE == optics.ORACLE_NODES_PER_HOLE
+
+
+def test_every_electron_goes_through_ppf_once(monkeypatch, tmp_path):
+    # run.py reads stats.electrons_sampled from the points that
+    # child.py's wrap of GriddedCdf.ppf counts; a sampler that placed
+    # electrons some other way would make it read too few.
+    child = load_perfbench(monkeypatch, "child")
+    (count,) = [count for owner, attr, _, count in child.TRACED
+                if (owner, attr) == (stats.GriddedCdf, "ppf")]
+    points = []
+    real_ppf = stats.GriddedCdf.ppf
+
+    def counted_ppf(*args):
+        result = real_ppf(*args)
+        points.append(count(args, result))
+        return result
+
+    monkeypatch.setattr(stats.GriddedCdf, "ppf", counted_ppf)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert cli.main(["g3", "--n", "100003", "--out", str(tmp_path / "g3")]) == 0
+    assert sum(points) == 100_003

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -259,7 +260,7 @@ class TestExitCodes:
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys, monkeypatch):
         # The parent is made, and fails, before any sampling starts.
-        monkeypatch.setattr(cli.measurement, "sample_arrivals", fail_if_called)
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
         assert main(["g1", "--n", "100", "--out", str(blocker / "sub")]) == 3
@@ -268,9 +269,9 @@ class TestExitCodes:
 
     def test_numerical_warning_is_numerical_error(self, tmp_path, capsys, monkeypatch):
         def overflow(illumination, geom, n, rng):
-            return np.zeros(n, dtype=int), np.full(n, 1e308) * 10
+            yield np.zeros(n, dtype=int), np.full(n, 1e308) * 10
 
-        monkeypatch.setattr(cli.measurement, "sample_arrivals", overflow)
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", overflow)
         out = tmp_path / "x"
         assert main(["g1", "--n", "100", "--out", str(out)]) == 2
         assert "numerical failure: overflow" in capsys.readouterr().err
@@ -398,29 +399,28 @@ def test_failed_run_leaves_no_output_directory(tmp_path, argv):
     assert not out.exists()
 
 
-class TestSamplerMemoryCap:
-    # The largest --n whose sampler footprint fits under the cap.
-    LARGEST_N = cli.MAX_SAMPLER_BYTES // cli.measurement.SAMPLER_BYTES_PER_ELECTRON
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_n_is_not_capped(experiment):
+    # A two-hole run draws its electrons a block at a time, so no --n needs
+    # more memory than another; shelving ignores --n.
+    assert parse_args([experiment, "--out", "x", "--n", str(10**12)]).n_electrons == 10**12
 
-    def test_estimate_is_linear_in_n(self):
-        assert cli.measurement.sampler_footprint_bytes(1) == 32
-        assert cli.measurement.sampler_footprint_bytes(10**6) == 32 * 10**6
 
-    @pytest.mark.parametrize("experiment", cli.TWO_HOLE_EXPERIMENTS)
-    def test_n_over_the_cap_is_rejected_by_parse_args(self, experiment):
-        assert parse_args([experiment, "--out", "x", "--n", str(self.LARGEST_N)])
-        with pytest.raises(ConfigError, match=r"--n \d+ needs about 2048 MiB to sample, "
-                                               r"over the 2048 MiB cap"):
-            parse_args([experiment, "--out", "x", "--n", str(self.LARGEST_N + 1)])
-
-    def test_n_over_the_cap_exits_1_without_output(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        assert main(["g1", "--n", str(10**12), "--out", str(out)]) == 1
-        assert "MiB cap" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_shelving_ignores_n(self):
-        assert parse_args(["shelving", "--out", "x", "--n", str(10**12)]).experiment == "shelving"
+def test_two_hole_memory_is_set_by_the_block(tmp_path, monkeypatch):
+    # Traced in this process, so no pool may start.  A run four times as
+    # long may not peak higher by as much as one block's arrays.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    peaks = []
+    for blocks in (2, 8):
+        tracemalloc.start()
+        try:
+            n = blocks * cli.CSV_BLOCK_ROWS
+            assert main(["g3", "--n", str(n), "--out", str(tmp_path / str(blocks))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_block_arrays = 64 * cli.CSV_BLOCK_ROWS  # eight 8-byte values per electron: 4 MiB
+    assert peaks[1] - peaks[0] < one_block_arrays, peaks
 
 
 def test_failed_shelving_stream_leaves_no_output_directory(tmp_path, monkeypatch, capsys):
@@ -554,7 +554,7 @@ class TestOutputDirectory:
         def fail(*args):
             raise ValueError("synthetic sampling failure")
 
-        monkeypatch.setattr(cli.measurement, "sample_arrivals", fail)
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail)
         (tmp_path / "kept").mkdir()  # empty, but there before the run
         out = tmp_path / "kept" / "a" / "b" / "run"
         assert main(["g1", "--n", "10", "--out", str(out)]) == 2
@@ -567,14 +567,14 @@ class TestOutputDirectory:
             (tmp_path / "a" / "other.txt").write_text("not this run's\n")
             raise ValueError("synthetic sampling failure")
 
-        monkeypatch.setattr(cli.measurement, "sample_arrivals", fill_parent)
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fill_parent)
         out = tmp_path / "a" / "b" / "run"
         assert main(["g1", "--n", "10", "--out", str(out)]) == 2
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", tmp_path / "a" / "other.txt"]
 
     @pytest.mark.parametrize("kind", ["non-empty directory", "file"])
     def test_occupied_out_is_rejected_untouched(self, tmp_path, capsys, monkeypatch, kind):
-        monkeypatch.setattr(cli.measurement, "sample_arrivals", fail_if_called)
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
         out = tmp_path / "run"
         if kind == "file":
             out.write_text("not a directory\n")
@@ -595,7 +595,7 @@ class TestOutputDirectory:
     def test_out_without_a_name_is_rejected(self, tmp_path, capsys, monkeypatch, name):
         # The staging directory cannot be renamed onto the working directory
         # or its parent, even when that is empty.
-        monkeypatch.setattr(cli.measurement, "sample_arrivals", fail_if_called)
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
         (tmp_path / "empty").mkdir()
         monkeypatch.chdir(tmp_path / "empty")
         assert main(["g1", "--n", "100", "--out", name]) == 1
@@ -686,9 +686,9 @@ def test_small_runs_complete_with_null_statistics(tmp_path, experiment, n):
 def test_visibility_sampled_is_null_without_central_arrivals(tmp_path, monkeypatch):
     # One unseen electron, placed outside the +-3-period window.
     def far_arrival(config, geom, n, rng):
-        return np.full(n, cli.OUTCOME_ORDER.index(cli.OutcomeTag.NOT_SEEN)), np.full(n, 0.1)
+        yield np.full(n, cli.OUTCOME_ORDER.index(cli.OutcomeTag.NOT_SEEN)), np.full(n, 0.1)
 
-    monkeypatch.setattr(cli.measurement, "sample_arrivals", far_arrival)
+    monkeypatch.setattr(cli.measurement, "arrival_blocks", far_arrival)
     out = tmp_path / "run"
     assert main(["g1", "--n", "1", "--out", str(out)]) == 0
     summary = read_summary(out)
@@ -730,6 +730,32 @@ def test_artifacts_match_pinned_digests(tmp_path, experiment):
     out = tmp_path / experiment
     assert main([experiment, "--n", "20000", "--seed", "7", "--out", str(out)]) == 0
     for name, digest in PINNED_SHA256[experiment].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the tables at --n 200003 --seed 7: three full CSV_BLOCK_ROWS
+# blocks and a ragged one, taken from the one-shot sampler before arrivals
+# were drawn block by block.  A stream whose blocks do not join into the
+# one-shot draws fails here.
+MULTI_BLOCK_N = 3 * cli.CSV_BLOCK_ROWS + 3395
+MULTI_BLOCK_PINNED_SHA256 = {
+    "g2": {
+        "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
+        "samples.csv": "fde026c15a769e96d1a97401e98094764c7ef8e55b679d52040a8238ee107965",
+    },
+    "g3": {
+        "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
+        "samples.csv": "98a4cd8e735afb2dfe84d62cae4784a651f995f024e29768796d8ace12fd5b27",
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(MULTI_BLOCK_PINNED_SHA256))
+def test_multi_block_artifacts_match_pinned_digests(tmp_path, experiment):
+    assert MULTI_BLOCK_N == 200_003
+    out = tmp_path / experiment
+    assert main([experiment, "--n", str(MULTI_BLOCK_N), "--seed", "7", "--out", str(out)]) == 0
+    for name, digest in MULTI_BLOCK_PINNED_SHA256[experiment].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 

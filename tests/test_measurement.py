@@ -1,21 +1,18 @@
 """Collapse semantics and screen densities for the four illumination regimes."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slitlab import measurement
+from slitlab import cli, measurement
 from slitlab.measurement import (
     OUTCOME_ORDER,
     Illumination,
     OutcomeTag,
+    arrival_blocks,
     conditional_density,
     ensemble_density,
     outcome_probabilities,
-    sample_arrivals,
-    sampler_footprint_bytes,
 )
 from slitlab.optics import (
     Hole,
@@ -24,7 +21,7 @@ from slitlab.optics import (
     single_hole_amplitude,
     visibility,
 )
-from slitlab.stats import sample_positions, windowed_chi2
+from slitlab.stats import GriddedCdf, WindowedChi2, sample_positions
 from test_optics import random_far_field_geometry
 
 GEOM = default_geometry()
@@ -32,18 +29,49 @@ GEOM = default_geometry()
 SEEN_AT_A, SEEN_AT_B, NOT_SEEN = (OUTCOME_ORDER.index(tag) for tag in OutcomeTag)
 
 
+def joined_arrivals(config, geom, n, rng):
+    """Every block of ``arrival_blocks``, joined: (outcome index, positions)."""
+    blocks = list(arrival_blocks(config, geom, n, rng))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def windowed_chi2(positions, density):
+    chi2 = WindowedChi2(density)
+    chi2.feed(positions)
+    return chi2.finish()
+
+
 def chi2_p(positions, config, tag):
     result, _ = windowed_chi2(positions, conditional_density(config, tag, GEOM))
     return result.p_value
 
 
+def one_shot_arrivals(config, geom, n, seed):
+    """The draws the blocks must join into: one rng.random(n) of outcome
+    uniforms (none with one possible outcome), then one of position uniforms."""
+    rng = np.random.default_rng(seed)
+    probs = outcome_probabilities(config, geom)
+    weights = [probs[tag] for tag in OUTCOME_ORDER]
+    possible = [idx for idx, weight in enumerate(weights) if weight > 0]
+    index = np.full(n, possible[0])
+    if len(possible) > 1:
+        index = np.searchsorted(np.cumsum(weights), rng.random(n), side="right")
+        index = np.minimum(index, possible[-1])
+    u_position = rng.random(n)
+    positions = np.empty(n)
+    for idx in possible:
+        density = conditional_density(config, OUTCOME_ORDER[idx], geom)
+        positions[index == idx] = GriddedCdf(density).ppf(u_position[index == idx])
+    return index, positions
+
+
 class TestApplyMeasurement:
-    """The measurement applied to a batch of electrons: ``sample_arrivals``."""
+    """The measurement applied to a batch of electrons: ``arrival_blocks``."""
 
     @staticmethod
     def assert_unseen_and_unchanged(config, seed):
         # No outcome draw at all: the same generator stream as plain sampling.
-        index, positions = sample_arrivals(config, GEOM, 5000, np.random.default_rng(seed))
+        index, positions = joined_arrivals(config, GEOM, 5000, np.random.default_rng(seed))
         assert np.all(index == NOT_SEEN)
         expected = sample_positions(
             ensemble_density(config, GEOM), 5000, np.random.default_rng(seed)
@@ -56,7 +84,7 @@ class TestApplyMeasurement:
     def test_sighting_frequency_matches_branch_weight(self):
         # Symmetric holes, hole A lit, complete window: half are sighted.
         n = 20_000
-        index, _ = sample_arrivals(Illumination.HOLE_A, GEOM, n, np.random.default_rng(2024))
+        index, _ = joined_arrivals(Illumination.HOLE_A, GEOM, n, np.random.default_rng(2024))
         seen = np.count_nonzero(index == SEEN_AT_A)
         assert abs(seen / n - 0.5) < 3 * np.sqrt(0.25 / n)
         assert np.count_nonzero(index == NOT_SEEN) == n - seen
@@ -73,7 +101,7 @@ class TestApplyMeasurement:
             grid_points=8192,
         )
         n = 100_000
-        index, _ = sample_arrivals(Illumination.BOTH_HOLES, geom, n, np.random.default_rng(99))
+        index, _ = joined_arrivals(Illumination.BOTH_HOLES, geom, n, np.random.default_rng(99))
         seen_a = np.count_nonzero(index == SEEN_AT_A)
         assert np.count_nonzero(index == SEEN_AT_B) == n - seen_a
         p = 2 / 3
@@ -82,7 +110,7 @@ class TestApplyMeasurement:
     def test_sighting_collapses_to_that_hole(self):
         # Each sighted pile fits its own hole's density, not the fringes.
         rng = np.random.default_rng(5)
-        index, positions = sample_arrivals(Illumination.BOTH_HOLES, GEOM, 20_000, rng)
+        index, positions = joined_arrivals(Illumination.BOTH_HOLES, GEOM, 20_000, rng)
         for idx, tag in ((SEEN_AT_A, OutcomeTag.SEEN_AT_A), (SEEN_AT_B, OutcomeTag.SEEN_AT_B)):
             pile = positions[index == idx]
             assert chi2_p(pile, Illumination.BOTH_HOLES, tag) >= 1e-4
@@ -90,7 +118,7 @@ class TestApplyMeasurement:
 
     def test_null_observation_collapses_to_unlit_hole(self):
         rng = np.random.default_rng(6)
-        index, positions = sample_arrivals(Illumination.HOLE_A, GEOM, 20_000, rng)
+        index, positions = joined_arrivals(Illumination.HOLE_A, GEOM, 20_000, rng)
         null = positions[index == NOT_SEEN]
         assert null.size > 0
         assert chi2_p(null, Illumination.HOLE_A, OutcomeTag.NOT_SEEN) >= 1e-4
@@ -99,10 +127,21 @@ class TestApplyMeasurement:
     def test_early_light_off_preserves_coherence(self):
         self.assert_unseen_and_unchanged(Illumination.HOLE_A_EARLY_OFF, 7)
 
+    @pytest.mark.parametrize("config", Illumination, ids=lambda regime: regime.value)
+    def test_blocks_join_into_the_one_shot_draws(self, config, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1000)
+        n = 2503
+        blocks = list(arrival_blocks(config, GEOM, n, np.random.default_rng(17)))
+        assert [positions.size for _, positions in blocks] == [1000, 1000, 503]
+        index, positions = (np.concatenate(column) for column in zip(*blocks))
+        expected_index, expected_positions = one_shot_arrivals(config, GEOM, n, 17)
+        assert index.tobytes() == expected_index.tobytes()
+        assert positions.tobytes() == expected_positions.tobytes()
+
     def test_seeded_outcome_sequence_is_reproducible(self):
         def draw():
             rng = np.random.default_rng(31415)
-            return sample_arrivals(Illumination.BOTH_HOLES, GEOM, 2000, rng)
+            return joined_arrivals(Illumination.BOTH_HOLES, GEOM, 2000, rng)
 
         (index1, positions1), (index2, positions2) = draw(), draw()
         assert index1.tobytes() == index2.tobytes()
@@ -195,7 +234,7 @@ class TestSampledVersusAnalytic:
         rng = np.random.default_rng(8462)
         n = 20_000
         for config in (Illumination.OFF, Illumination.BOTH_HOLES, Illumination.HOLE_A):
-            index, positions = sample_arrivals(config, GEOM, n, rng)
+            index, positions = joined_arrivals(config, GEOM, n, rng)
             probs = outcome_probabilities(config, GEOM)
             for idx, tag in enumerate(OUTCOME_ORDER):
                 if probs[tag] == 0.0:
@@ -227,7 +266,7 @@ class TestMeasurementProperties:
         geom = random_far_field_geometry(np.random.default_rng(geom_seed))
         for config in Illumination:
             probs = outcome_probabilities(config, geom)
-            index, positions = sample_arrivals(config, geom, 2000, np.random.default_rng(seed))
+            index, positions = joined_arrivals(config, geom, 2000, np.random.default_rng(seed))
             drawn = {OUTCOME_ORDER[i] for i in np.unique(index)}
             assert all(probs[tag] > 0 for tag in drawn), (config, drawn)
             assert positions.shape == (2000,)
@@ -246,18 +285,3 @@ def test_geometry_caches_stay_bounded():
             ensemble_density(config, geom)
     for cache in (measurement._branch_amplitudes, measurement._analytic_density):
         assert cache.cache_info().currsize <= 64, cache.cache_info()
-
-
-@pytest.mark.parametrize("illumination", Illumination)
-def test_sampler_footprint_estimate_covers_sample_arrivals(illumination):
-    # The CLI's --n cap reads this estimate; the sampler's traced peak must
-    # not exceed it by more than the per-outcome masks.
-    sample_arrivals(illumination, GEOM, 10, np.random.default_rng(0))  # densities cached
-    n = 200_000
-    tracemalloc.start()
-    try:
-        sample_arrivals(illumination, GEOM, n, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * sampler_footprint_bytes(n)

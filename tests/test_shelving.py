@@ -92,6 +92,12 @@ class TestTrajectory:
             TelegraphTrajectory(((IonState.BRIGHT, -1.0),), -1.0)
         with pytest.raises(ValueError, match="sum"):
             TelegraphTrajectory(((IonState.BRIGHT, 1.0),), 2.0)
+        with pytest.raises(ValueError, match="interval durations must be positive and finite"):
+            TelegraphTrajectory(((IonState.BRIGHT, np.nan),), 1.0)
+        with pytest.raises(ValueError, match="interval durations must be positive and finite"):
+            TelegraphTrajectory(((IonState.BRIGHT, np.inf),), np.inf)
+        with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
+            TelegraphTrajectory(((IonState.BRIGHT, 1.0),), np.inf)
 
     def test_non_finite_total_time_rejected(self):
         # NaN, not inf: a regression on inf would loop until memory runs out.
@@ -213,9 +219,9 @@ class TestPhotonEmission:
             next(chunks)
 
     def test_non_finite_total_time_rejected_by_the_stream(self):
-        # The durations-sum check compares against NaN, which never fails.
-        traj = TelegraphTrajectory(((IonState.BRIGHT, 1.0),), float("nan"))
+        # The trajectory rejects it, so no stream can start on one.
         with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
+            traj = TelegraphTrajectory(((IonState.BRIGHT, 1.0),), float("nan"))
             next(photon_chunks(traj, default_rates(), np.random.default_rng(0)))
 
     def test_chunks_join_into_the_record(self):

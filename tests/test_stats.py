@@ -13,20 +13,23 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from slitlab import stats
 from slitlab.measurement import Illumination, ensemble_density
 from slitlab.optics import RealDensity, SlitGeometry, default_geometry
 from slitlab.stats import (
+    CHI2_BIN_LADDER,
     CHI2_HALF_PERIODS,
     GriddedCdf,
+    FringeVisibility,
     Histogram,
     PositionSample,
+    WindowedChi2,
     chi_square_gof,
     filter_positions,
     fringe_visibility_from_positions,
     histogram,
     ks_exponential,
     sample_positions,
-    windowed_chi2,
 )
 
 GEOM = default_geometry()
@@ -110,8 +113,9 @@ class TestSamplePositions:
         assert deviation <= 1.63 / np.sqrt(n)
 
     def test_positions_must_lie_on_grid_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            PositionSample(np.array([0.3]), GEOM)
+        for bad in (0.3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="outside"):
+                PositionSample(np.array([0.0, bad]), GEOM)
 
 
 class TestHistogram:
@@ -250,6 +254,12 @@ class TestChiSquare:
         assert 0.0 in p_values
 
 
+def windowed_chi2(positions, density):
+    chi2 = WindowedChi2(density)
+    chi2.feed(positions)
+    return chi2.finish()
+
+
 class TestWindowedChi2:
     def test_ample_sample_uses_the_finest_bins(self):
         sample = sample_positions(OFF_DENSITY, 100_000, np.random.default_rng(15))
@@ -277,6 +287,49 @@ class TestWindowedChi2:
 
     def test_no_arrivals_give_no_fit(self):
         assert windowed_chi2(np.array([]), OFF_DENSITY) == (None, None)
+
+    @pytest.mark.parametrize("n", [300, 3000, 100_000])
+    def test_every_rung_bins_like_histogram(self, n):
+        # Arrivals on and one ulp either side of every edge of every rung,
+        # then a sample: each bin count on the ladder that has a fit gives
+        # histogram's.
+        chi2 = WindowedChi2(OFF_DENSITY)
+        edges = np.concatenate([np.linspace(chi2.lo, chi2.hi, k + 1) for k in CHI2_BIN_LADDER])
+        planted = np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 1)])
+        positions = np.concatenate([planted, sample_positions(
+            OFF_DENSITY, n, np.random.default_rng(n)).positions])
+        chi2.feed(positions)
+        windowed = OFF_DENSITY.restrict(chi2.lo, chi2.hi)
+        conditioned = filter_positions(PositionSample(positions, GEOM), chi2.lo, chi2.hi)
+        fits = 0
+        for n_bins in CHI2_BIN_LADDER:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(stats, "CHI2_BIN_LADDER", (n_bins,))
+                result, _ = chi2.finish()
+            if result is not None:
+                hist = histogram(conditioned, n_bins, (chi2.lo, chi2.hi))
+                assert result == chi_square_gof(hist, windowed), n_bins
+                fits += 1
+        assert fits >= 4
+
+    def test_blocks_and_groups_sum_to_one_feed(self):
+        positions = sample_positions(BOTH_DENSITY, 20_000, np.random.default_rng(18)).positions
+        groups = np.random.default_rng(19).integers(0, 3, positions.size)
+        whole = WindowedChi2(BOTH_DENSITY)
+        whole.feed(positions)
+        blocked = WindowedChi2(BOTH_DENSITY, n_groups=3)
+        for start in range(0, positions.size, 7000):
+            blocked.feed(positions[start:start + 7000], groups[start:start + 7000])
+        assert blocked.finish() == whole.finish()
+        for group in range(3):
+            alone = WindowedChi2(BOTH_DENSITY)
+            alone.feed(positions[groups == group])
+            assert blocked.finish(group=group) == alone.finish()
+
+    def test_density_on_another_window_is_rejected(self):
+        chi2 = WindowedChi2(OFF_DENSITY)
+        with pytest.raises(ValueError, match="window"):
+            chi2.finish(unit_interval_density())
 
 
 class TestKsExponential:
@@ -377,3 +430,13 @@ class TestFringeVisibilityEstimator:
         sample = PositionSample(np.array([0.19]), GEOM)
         with pytest.raises(ValueError, match="window"):
             fringe_visibility_from_positions(sample)
+
+    def test_blocks_add_up_to_the_whole_sample(self):
+        sample = sample_positions(OFF_DENSITY, 50_000, np.random.default_rng(20))
+        visibility = FringeVisibility(GEOM)
+        for block in np.array_split(sample.positions, 7):
+            visibility.feed(block)
+        half = 3 * GEOM.fringe_period
+        assert visibility.arrivals == np.count_nonzero(np.abs(sample.positions) <= half)
+        assert visibility.finish() == pytest.approx(
+            fringe_visibility_from_positions(sample), rel=1e-12)
