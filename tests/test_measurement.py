@@ -1,5 +1,7 @@
 """Collapse semantics and screen densities for the four illumination regimes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,3 +287,23 @@ def test_geometry_caches_stay_bounded():
             ensemble_density(config, geom)
     for cache in (measurement._branch_amplitudes, measurement._analytic_density):
         assert cache.cache_info().currsize <= 64, cache.cache_info()
+
+
+@pytest.mark.parametrize("illumination", Illumination)
+def test_sampler_footprint_estimate_covers_sample_arrivals(illumination):
+    # The sampler's footprint is one block's arrays, whatever n is: draining
+    # eight blocks and a ragged one peaks under 64 B per block row (measured
+    # 53-61 B), while a single 8-byte array of all n arrivals would fill it.
+    for _ in arrival_blocks(illumination, GEOM, 10, np.random.default_rng(0)):
+        pass  # densities cached
+    n = 8 * cli.CSV_BLOCK_ROWS + 3
+    one_block_estimate = 64 * cli.CSV_BLOCK_ROWS
+    assert 8 * n > one_block_estimate
+    tracemalloc.start()
+    try:
+        for _ in arrival_blocks(illumination, GEOM, n, np.random.default_rng(0)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= one_block_estimate, peak
