@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -26,12 +27,12 @@ import os
 import shutil
 import sys
 import tempfile
-from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import measurement, shelving, stats
 from .optics import QuadratureConvergenceError, SlitGeometry, default_geometry, visibility
@@ -62,12 +63,6 @@ VISIBILITY_HALF_PERIODS = 1
 # CSV rows are formatted and written, and two-hole electrons drawn, this many
 # at a time, so memory depends on the block, not on the length of the record.
 CSV_BLOCK_ROWS = 65_536
-
-# A table that reaches this many rows has its blocks formatted by a forked
-# pool, one worker per usable CPU, with at most BLOCKS_PER_WORKER blocks per
-# worker in flight; a shorter table would not repay the fork.
-POOL_MIN_ROWS = CSV_BLOCK_ROWS
-BLOCKS_PER_WORKER = 2
 
 class ConfigError(ValueError):
     """Invalid command line, config file, or parameter combination."""
@@ -268,124 +263,88 @@ class _Labels:
         return _Labels(self.names, self.codes[rows])
 
 
-def _cells(column):
-    """The text of one column's cells."""
-    if isinstance(column, _Labels):
-        return map(column.names.__getitem__, column.codes.tolist())
+# Floats in [1e-4, 1e16) in magnitude, where orjson writes repr's text.
+# Outside it the two differ in layout (orjson's 0.000015, 1e16 and null
+# for repr's 1.5e-05, 1e+16 and nan), so those cells take repr.
+_ORJSON_FLOATS = (1e-4, 1e16)
+
+# orjson's "[x,y]" becomes "x\ny\n" (the "[" is deleted).
+_ORJSON_TO_LINES = bytes.maketrans(b",]", b"\n\n")
+
+
+def _float_cells(values: np.ndarray) -> bytes:
+    """repr's text of each float64, each followed by a newline.
+
+    Each run of values inside _ORJSON_FLOATS is one orjson call; each run
+    outside it takes repr.
+    """
+    values = np.ascontiguousarray(values)
+    magnitude = np.abs(values)
+    low, high = _ORJSON_FLOATS
+    ordinary = (magnitude >= low) & (magnitude < high)  # NaN compares False
+    bounds = [0, *(np.flatnonzero(ordinary[1:] != ordinary[:-1]) + 1).tolist(), len(values)]
+    pieces = []
+    for start, stop in zip(bounds, bounds[1:]):
+        run = values[start:stop]
+        if ordinary[start]:
+            text = orjson.dumps(run, option=orjson.OPT_SERIALIZE_NUMPY)
+            pieces.append(text.translate(_ORJSON_TO_LINES, b"["))
+        else:
+            pieces.append("".join(f"{value!r}\n" for value in run.tolist()).encode())
+    return b"".join(pieces)
+
+
+def _cells(column) -> bytes:
+    """The text of the cells of a column of values, each followed by a newline."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        # tolist() yields Python floats: the same text as _fmt, without its dispatch
-        return map(repr, column.tolist())
-    return map(_fmt, column)
+        return _float_cells(column)
+    return "".join(f"{_fmt(value)}\n" for value in column).encode()
 
 
-def _format_block(columns: list) -> str:
-    """The CSV lines of one block of equal-length columns, each ending in a newline."""
-    cells = [_cells(column) for column in columns]
-    rows = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
-    return "\n".join(rows) + "\n"
+def _cell_table(column, end: str) -> np.ndarray:
+    """A byte matrix of one row per cell: the cell's text and ``end``,
+    left-aligned and NUL-padded to the longest row."""
+    if isinstance(column, _Labels):
+        texts = np.array([(name + end).encode() for name in column.names])
+        return texts[column.codes].view(np.uint8).reshape(len(column), -1)
+    cells = _cells(column)
+    text = np.frombuffer(cells, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    lengths = np.diff(ends, prepend=-1)  # newline included
+    width = int(lengths.max())
+    # Row i starts as the ``width`` bytes from cell i's first, read through a
+    # view that steps one byte per element; the bytes past its newline belong
+    # to the next cells and are zeroed.
+    windows = np.ndarray((len(text),), f"V{width}", cells + bytes(width), strides=(1,))
+    table = windows[ends + 1 - lengths].view(np.uint8).reshape(len(ends), width)
+    table *= np.arange(width) < lengths[:, None]
+    table[np.arange(len(ends)), lengths - 1] = ord(end)
+    return table
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot tell."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
+def _format_block(columns: list) -> bytes:
+    """The CSV lines of one block of equal-length columns, each ending in a newline.
 
-
-def _end_with_run(run_pid: int) -> None:
-    """Worker initializer: have the kernel kill this worker when the run that
-    forked it dies without shutting the pool down (a SIGKILL, the OOM
-    killer), where it would otherwise wait for work forever.
-
-    Best effort: where libc has no prctl, or it fails, the worker runs on.
+    A lone column of values is its cells' text.  Otherwise the columns'
+    cells are laid side by side in one NUL-padded byte matrix, whose
+    padding is then dropped, so that no object is made per row.
     """
-    import ctypes
-    import signal
-
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-        prctl.restype = ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: the signal sent when the parent dies
-    if os.getppid() != run_pid:  # the run died before the request took effect
-        os._exit(1)
+    if len(columns) == 1 and not isinstance(columns[0], _Labels):
+        return _cells(columns[0])
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    table = np.hstack([_cell_table(column, end) for column, end in zip(columns, ends)])
+    return table[table != 0].tobytes()
 
 
-def _start_pool(workers: int):
-    """A pool of ``workers`` processes forked from this one.
-
-    Its modules are imported here, so a run that starts no pool never
-    loads them.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_end_with_run, initargs=(os.getpid(),))
-
-
-class _TableWriter:
-    """Writes one table's rows to ``fh`` in blocks, in row order.
-
-    Blocks are formatted in this process until the table reaches
-    POOL_MIN_ROWS rows.  From then on, if more than one CPU is usable, a
-    forked pool formats them: each block goes to it as column slices,
-    at most BLOCKS_PER_WORKER blocks per worker are in flight, and each
-    block is written as soon as it is next in order.  Only the text of
-    final arrays crosses into a worker, so the bytes do not depend on the
-    path.  The pool belongs to this writer, which shuts it down on exit;
-    a worker that dies is raised as an OSError.
-    """
-
-    def __init__(self, fh, name: str):
-        self._fh = fh
-        self._name = name
-        self._workers = _usable_cpus()
-        self._rows = 0
-        self._pool = None
-        self._in_flight: deque = deque()
-
-    def __enter__(self) -> _TableWriter:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._pool is None:
-            return
-        from concurrent.futures.process import BrokenProcessPool
-
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        if isinstance(exc, BrokenProcessPool):
-            raise OSError(f"{self._name}: a formatting worker died") from exc
-
-    def write(self, columns: list) -> int:
-        """Write one chunk of equal-length columns; return its row count."""
-        n_rows = len(columns[0])
-        if any(len(column) != n_rows for column in columns):
-            raise ValueError(f"{self._name}: columns differ in length")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            block = [column[start:stop] for column in columns]
-            self._rows += stop - start
-            if self._pool is None and self._workers > 1 and self._rows >= POOL_MIN_ROWS:
-                self._pool = _start_pool(self._workers)
-            if self._pool is None:
-                self._fh.write(_format_block(block))
-                continue
-            while len(self._in_flight) >= BLOCKS_PER_WORKER * self._workers:
-                self._write_next()
-            self._in_flight.append(self._pool.submit(_format_block, block))
-            while self._in_flight and self._in_flight[0].done():
-                self._write_next()
-        return n_rows
-
-    def finish(self) -> None:
-        """Write every block still in flight."""
-        while self._in_flight:
-            self._write_next()
-
-    def _write_next(self) -> None:
-        self._fh.write(self._in_flight.popleft().result())
+def _write_chunk(fh, columns: list) -> int:
+    """Write one chunk of equal-length columns, CSV_BLOCK_ROWS rows at a time;
+    return its row count."""
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"{Path(fh.name).name}: columns differ in length")
+    for start in range(0, n_rows, CSV_BLOCK_ROWS):
+        fh.write(_format_block([column[start:start + CSV_BLOCK_ROWS] for column in columns]))
+    return n_rows
 
 
 def _write_csv(path: Path, header: list[str], chunks: Iterable[list]) -> int:
@@ -393,16 +352,13 @@ def _write_csv(path: Path, header: list[str], chunks: Iterable[list]) -> int:
 
     The rows arrive as consecutive chunks, each a list of equal-length
     columns: a table held in memory is one chunk, a stream is read a chunk
-    at a time.  The bytes written do not depend on where the chunks end,
-    nor on whether a pool formats them (see _TableWriter).
+    at a time.  Each block of CSV_BLOCK_ROWS rows is formatted and written
+    in turn, so the bytes written do not depend on where the chunks end.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh, \
-            _TableWriter(fh, path.name) as table:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         # map binds no chunk, so none is held while the next one is drawn.
-        n_rows = sum(map(table.write, chunks))
-        table.finish()
-    return n_rows
+        return sum(map(functools.partial(_write_chunk, fh), chunks))
 
 
 def _write_summary(path: Path, summary: dict) -> None:

@@ -59,6 +59,5 @@ def test_every_electron_goes_through_ppf_once(monkeypatch, tmp_path):
         return result
 
     monkeypatch.setattr(stats.GriddedCdf, "ppf", counted_ppf)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert cli.main(["g3", "--n", "100003", "--out", str(tmp_path / "g3")]) == 0
     assert sum(points) == 100_003

@@ -2,20 +2,16 @@
 
 import hashlib
 import json
-import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import slitlab.cli as cli
 from slitlab.cli import ConfigError, main, parse_args
@@ -38,53 +34,6 @@ def artifact_names(experiment):
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("sampling started")
-
-
-def pool_started(workers):
-    raise AssertionError("a formatting pool started")
-
-
-TEST_PID = os.getpid()
-FORMAT_BLOCK = cli._format_block
-
-
-def exit_in_worker(columns):
-    """_format_block, except that a worker process running it dies at once."""
-    if os.getpid() != TEST_PID:
-        os._exit(70)
-    return FORMAT_BLOCK(columns)
-
-
-def slow_in_worker(columns):
-    """_format_block, taking 20 ms longer in a worker process."""
-    if os.getpid() != TEST_PID:
-        time.sleep(0.02)
-    return FORMAT_BLOCK(columns)
-
-
-WRITER_PATHS = ("in-process", "pooled")
-
-
-@contextmanager
-def writer_path(path):
-    """Send every table onto one of _write_csv's paths; yield the pools it starts.
-
-    "pooled" starts a pool of two workers, whatever the machine, at a
-    table's first row; "in-process" starts none.
-    """
-    started = []
-    real_start_pool = cli._start_pool
-
-    def counted_start_pool(workers):
-        started.append(workers)
-        return real_start_pool(workers)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_start_pool", counted_start_pool)
-        patch.setattr(cli, "_usable_cpus", lambda: 2 if path == "pooled" else 1)
-        if path == "pooled":
-            patch.setattr(cli, "POOL_MIN_ROWS", 1)
-        yield started
 
 
 def test_g1_run_writes_expected_artifacts(tmp_path):
@@ -406,10 +355,8 @@ def test_n_is_not_capped(experiment):
     assert parse_args([experiment, "--out", "x", "--n", str(10**12)]).n_electrons == 10**12
 
 
-def test_two_hole_memory_is_set_by_the_block(tmp_path, monkeypatch):
-    # Traced in this process, so no pool may start.  A run four times as
-    # long may not peak higher by as much as one block's arrays.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+def test_two_hole_memory_is_set_by_the_block(tmp_path):
+    # A run four times as long may not peak higher by as much as one block's arrays.
     peaks = []
     for blocks in (2, 8):
         tracemalloc.start()
@@ -469,67 +416,26 @@ def test_io_failure_inside_photons_csv_leaves_no_output(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(cli, "_write_csv", failing_write)
     out = tmp_path / "run"
-    with writer_path("pooled") as started:
-        assert main(["shelving", "--total-time", "5", "--out", str(out)]) == 3
-    assert started == [2, 2]  # trajectory.csv's pool, then photons.csv's
+    assert main(["shelving", "--total-time", "5", "--out", str(out)]) == 3
     assert "io failure" in capsys.readouterr().err
     assert len(written) == 1
     assert not out.exists()
     assert staging_dirs(out) == []
-    assert multiprocessing.active_children() == []
 
 
-def process_is_running(pid):
-    """Whether ``pid`` is a process that has not exited (a zombie has)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rpartition(") ")[2][:1] not in ("Z", "X")
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-def test_pool_workers_end_with_a_killed_run():
+def test_a_run_is_one_process(tmp_path):
+    # Some 166 000 photons in 5 s: photons.csv spans several blocks.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import multiprocessing, time, slitlab.cli as cli\n"
-        "pool = cli._start_pool(2)\n"
-        "pool.submit(time.sleep, 0).result()\n"
-        "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
-        "time.sleep(60)\n"
+        "import sys, slitlab.cli as cli\n"
+        f"assert cli.main(['shelving', '--total-time', '5', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
     )
-    run = subprocess.Popen([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                           stdout=subprocess.PIPE, text=True)
-    workers = []
-    try:
-        workers = [int(pid) for pid in run.stdout.readline().split()]
-        assert len(workers) == 2
-        run.kill()
-        run.wait(timeout=10)
-        deadline = time.monotonic() + 10
-        while any(map(process_is_running, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(process_is_running, workers))
-    finally:
-        run.kill()
-        run.wait(timeout=10)
-        run.stdout.close()
-        for pid in filter(process_is_running, workers):
-            os.kill(pid, signal.SIGKILL)
-
-
-def test_dead_formatting_worker_is_an_io_failure(tmp_path, monkeypatch, capsys):
-    # trajectory.csv is shorter than a block and is formatted in this
-    # process; photons.csv reaches a block, and its pool's workers die.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_format_block", exit_in_worker)
-    out = tmp_path / "run"
-    assert main(["shelving", "--total-time", "5", "--out", str(out)]) == 3
-    assert "io failure: photons.csv: a formatting worker died" in capsys.readouterr().err
-    assert not out.exists()
-    assert staging_dirs(out) == []
-    assert multiprocessing.active_children() == []
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+    assert (tmp_path / "run" / "photons.csv").read_bytes().count(b"\n") > cli.CSV_BLOCK_ROWS
 
 
 class TestOutputDirectory:
@@ -837,14 +743,11 @@ def test_artifacts_match_the_per_cell_writer(tmp_path, monkeypatch, argv):
 
 
 def assert_writers_agree(tmp_path, header, columns):
-    """Both of _write_csv's paths write the reference's bytes; return them."""
+    """_write_csv writes the reference's bytes; return them."""
     reference_write_csv(tmp_path / "reference.csv", header, [columns])
     reference = (tmp_path / "reference.csv").read_bytes()
-    for path in WRITER_PATHS:
-        with writer_path(path) as started:
-            cli._write_csv(tmp_path / f"{path}.csv", header, [columns])
-        assert (tmp_path / f"{path}.csv").read_bytes() == reference, path
-        assert started == ([2] if path == "pooled" and len(columns[0]) else [])
+    cli._write_csv(tmp_path / "new.csv", header, [columns])
+    assert (tmp_path / "new.csv").read_bytes() == reference
     return reference
 
 
@@ -877,6 +780,32 @@ def test_writer_matches_reference_on_edge_cells(tmp_path):
     assert rows[3].split(",")[:2] == ["1e+16", "1e+16"]
 
 
+# orjson writes floats in repr's text only inside cli._ORJSON_FLOATS; these
+# are its edges and their neighbours, with NaN, infinities and zeros.
+ORJSON_EDGES = [sign * edge for edge in (1e-4, 1e16) for sign in (1.0, -1.0)]
+EDGE_FLOATS = ORJSON_EDGES + [float(np.nextafter(edge, toward)) for edge in ORJSON_EDGES
+                              for toward in (-np.inf, np.inf)] + [
+    0.0, -0.0, 5e-324, float("nan"), float("inf"), float("-inf")]
+OUTCOMES = ("seen_at_a", "seen_at_b", "not_seen")
+
+
+# Both fail if an orjson release writes a float differently, rather than
+# letting the artifacts drift.
+@given(st.lists(st.floats(), min_size=1))
+@example(EDGE_FLOATS)
+def test_float_cells_are_repr_text(xs):
+    assert cli._format_block([np.array(xs)]) == ("\n".join(map(repr, xs)) + "\n").encode()
+
+
+@given(st.lists(st.tuples(st.floats(), st.sampled_from(OUTCOMES)), min_size=1))
+@example([(x, OUTCOMES[i % 3]) for i, x in enumerate(EDGE_FLOATS)])
+def test_float_and_label_rows_are_repr_text(rows):
+    xs, labels = zip(*rows)
+    codes = np.array([OUTCOMES.index(label) for label in labels])
+    text = cli._format_block([np.array(xs), cli._Labels(OUTCOMES, codes)])
+    assert text == "".join(f"{x!r},{label}\n" for x, label in rows).encode()
+
+
 def test_chunk_edges_do_not_change_the_bytes(tmp_path):
     n_rows = cli.CSV_BLOCK_ROWS + 10
     rng = np.random.default_rng(3)
@@ -887,58 +816,5 @@ def test_chunk_edges_do_not_change_the_bytes(tmp_path):
     cuts = [0, 0, 5, 5, cli.CSV_BLOCK_ROWS + 7, n_rows, n_rows]
     chunks = [[floats[a:b], cli._Labels(labels.names, labels.codes[a:b])]
               for a, b in zip(cuts, cuts[1:])]
-    for path in WRITER_PATHS:
-        with writer_path(path):
-            cli._write_csv(tmp_path / "chunked.csv", ["t", "state"], iter(chunks))
-        assert (tmp_path / "chunked.csv").read_bytes() == whole, path
-
-
-class LineCountingFile:
-    """A text file that counts the lines written to it."""
-
-    def __init__(self, *args, **kwargs):
-        self._fh = open(*args, **kwargs)
-        self.lines = 0
-
-    def write(self, text):
-        self.lines += text.count("\n")
-        return self._fh.write(text)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-
-def test_pool_holds_at_most_its_window_of_blocks(tmp_path, monkeypatch):
-    files = []
-
-    def counting_open(*args, **kwargs):
-        files.append(LineCountingFile(*args, **kwargs))
-        return files[-1]
-
-    monkeypatch.setattr(cli, "open", counting_open, raising=False)
-    monkeypatch.setattr(cli, "_format_block", slow_in_worker)
-    ahead = []
-
-    def one_row_chunks(n):
-        for i in range(n):
-            # i rows drawn so far, and the header is the file's first line
-            ahead.append(i - (files[0].lines - 1))
-            yield [np.array([float(i)])]
-
-    with writer_path("pooled") as started:
-        assert cli._write_csv(tmp_path / "t.csv", ["t"], one_row_chunks(40)) == 40
-    assert started == [2]
-    assert 1 < max(ahead) <= cli.BLOCKS_PER_WORKER * 2
-    assert (tmp_path / "t.csv").read_text() == "t\n" + "".join(f"{i}.0\n" for i in range(40))
-
-
-@pytest.mark.parametrize("argv", [["g1", "--n", "100"], ["shelving", "--total-time", "0.2"]])
-def test_small_runs_start_no_pool(tmp_path, monkeypatch, argv):
-    # Some 20 000 photons at most in 0.2 s, and 8193 rows in density.csv: each
-    # table is shorter than one block.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_start_pool", pool_started)
-    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    cli._write_csv(tmp_path / "chunked.csv", ["t", "state"], iter(chunks))
+    assert (tmp_path / "chunked.csv").read_bytes() == whole

@@ -385,10 +385,10 @@ def assert_ks_matches_scipy_stats(durations, rate):
 
 
 # Modules that importing slitlab must not load.  scipy.stats takes most of
-# a second to import, paid by every run.  The CSV writer's process pool
-# loads multiprocessing and concurrent.futures.process only when a table
-# starts one (numpy.testing, which scipy.special loads, already imports the
-# concurrent.futures package itself).
+# a second to import, paid by every run.  A run is one process, so neither
+# multiprocessing nor concurrent.futures.process has a use (numpy.testing,
+# which scipy.special loads, already imports the concurrent.futures package
+# itself).
 NOT_LOADED_BY_IMPORT = ("scipy.stats", "multiprocessing", "concurrent.futures.process")
 
 
