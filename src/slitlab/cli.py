@@ -268,27 +268,24 @@ class _Labels:
 # for repr's 1.5e-05, 1e+16 and nan), so those cells take repr.
 _ORJSON_FLOATS = (1e-4, 1e16)
 
-# orjson's "[x,y]" becomes "x\ny\n" (the "[" is deleted).
-_ORJSON_TO_LINES = bytes.maketrans(b",]", b"\n\n")
-
-
 def _float_cells(values: np.ndarray) -> bytes:
     """repr's text of each float64, each followed by a newline.
 
-    Each run of values inside _ORJSON_FLOATS is one orjson call; each run
-    outside it takes repr.
+    Each run of values inside _ORJSON_FLOATS is one orjson call, whose
+    "[x,y]" becomes "x\ny\n"; each run outside it takes repr.
     """
     values = np.ascontiguousarray(values)
     magnitude = np.abs(values)
     low, high = _ORJSON_FLOATS
     ordinary = (magnitude >= low) & (magnitude < high)  # NaN compares False
+    del magnitude
     bounds = [0, *(np.flatnonzero(ordinary[1:] != ordinary[:-1]) + 1).tolist(), len(values)]
     pieces = []
     for start, stop in zip(bounds, bounds[1:]):
         run = values[start:stop]
         if ordinary[start]:
-            text = orjson.dumps(run, option=orjson.OPT_SERIALIZE_NUMPY)
-            pieces.append(text.translate(_ORJSON_TO_LINES, b"["))
+            text = orjson.dumps(run, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b"\n")
+            pieces += [memoryview(text)[1:-1], b"\n"]
         else:
             pieces.append("".join(f"{value!r}\n" for value in run.tolist()).encode())
     return b"".join(pieces)
@@ -304,9 +301,6 @@ def _cells(column) -> bytes:
 def _cell_table(column, end: str) -> np.ndarray:
     """A byte matrix of one row per cell: the cell's text and ``end``,
     left-aligned and NUL-padded to the longest row."""
-    if isinstance(column, _Labels):
-        texts = np.array([(name + end).encode() for name in column.names])
-        return texts[column.codes].view(np.uint8).reshape(len(column), -1)
     cells = _cells(column)
     text = np.frombuffer(cells, np.uint8)
     ends = np.flatnonzero(text == ord("\n"))
@@ -322,14 +316,35 @@ def _cell_table(column, end: str) -> np.ndarray:
     return table
 
 
-def _format_block(columns: list) -> bytes:
+def _append_labels(lines: bytes, labels: _Labels) -> bytearray:
+    """``lines`` with ``,name`` of each row's label put before its newline.
+
+    Each row's newline becomes its label's code, a byte below 10 (the
+    newline's own), and then each code byte in turn becomes ``,name\n``;
+    so there are at most 10 names, and no byte of ``lines`` or of a name
+    may be below their count, as CSV text's never are.
+    """
+    marked = bytearray(lines)
+    del lines  # hold the block's text once
+    text = np.frombuffer(marked, np.uint8)
+    text[text == ord("\n")] = labels.codes
+    del text  # it holds the buffer of the first copy
+    for code, name in enumerate(labels.names):
+        marked = marked.replace(bytes([code]), f",{name}\n".encode())
+    return marked
+
+
+def _format_block(columns: list) -> bytes | bytearray:
     """The CSV lines of one block of equal-length columns, each ending in a newline.
 
-    A lone column of values is its cells' text.  Otherwise the columns'
-    cells are laid side by side in one NUL-padded byte matrix, whose
-    padding is then dropped, so that no object is made per row.
+    A lone column of values is its cells' text.  Several are laid side by
+    side in one NUL-padded byte matrix, whose padding is then dropped, so
+    that no object is made per row.  A _Labels column may only come last,
+    after another: it is appended to the lines of the columns before it.
     """
-    if len(columns) == 1 and not isinstance(columns[0], _Labels):
+    if isinstance(columns[-1], _Labels):
+        return _append_labels(_format_block(columns[:-1]), columns[-1])
+    if len(columns) == 1:
         return _cells(columns[0])
     ends = [","] * (len(columns) - 1) + ["\n"]
     table = np.hstack([_cell_table(column, end) for column, end in zip(columns, ends)])

@@ -99,6 +99,12 @@ def _analytic_density(geom: SlitGeometry, kind: str) -> RealDensity:
     return RealDensity(geom, values, float(np.trapezoid(values, x)))
 
 
+# The sampler's CDF of each density, whose guide table is then built once per
+# density rather than once per arrival_blocks call.  Each holds about 0.4 MiB
+# on the default grid, and a run samples at most two, so fewer are kept.
+_position_cdf = lru_cache(maxsize=8)(stats.GriddedCdf)
+
+
 def outcome_probabilities(
     illumination: Illumination, geom: SlitGeometry
 ) -> dict[OutcomeTag, float]:
@@ -132,7 +138,7 @@ def arrival_blocks(
     """
     from .cli import CSV_BLOCK_ROWS  # the CSV writer's block; cli imports this module
     probs = outcome_probabilities(illumination, geom)
-    cdfs = {idx: stats.GriddedCdf(conditional_density(illumination, tag, geom))
+    cdfs = {idx: _position_cdf(conditional_density(illumination, tag, geom))
             for idx, tag in enumerate(OUTCOME_ORDER) if probs[tag] > 0}
     # Rounding can leave a draw past the last edge; it goes to the last possible outcome.
     edges, last = np.cumsum([probs[tag] for tag in OUTCOME_ORDER]), max(cdfs)
@@ -140,9 +146,11 @@ def arrival_blocks(
     position_rng.bit_generator.advance(n if len(cdfs) > 1 else 0)  # PCG64's jump-ahead
     for start in range(0, n, CSV_BLOCK_ROWS):
         size = min(CSV_BLOCK_ROWS, n - start)
-        index = np.full(size, last)
-        if len(cdfs) > 1:
-            index = np.minimum(np.searchsorted(edges, rng.random(size), side="right"), last)
+        if len(cdfs) == 1:
+            positions = cdfs[last].ppf(position_rng.random(size))
+            yield np.full(size, last), positions
+            continue
+        index = np.minimum(np.searchsorted(edges, rng.random(size), side="right"), last)
         u_position = position_rng.random(size)
         positions = np.empty(size, dtype=float)
         for idx, cdf in cdfs.items():

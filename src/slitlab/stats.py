@@ -9,6 +9,7 @@ same convention as the sampler.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,9 @@ CHI2_BIN_LADDER = (96, 64, 48, 32, 24, 16, 12, 8)
 # FringeVisibility reads the arrivals within +-VISIBILITY_HALF_PERIODS
 # fringe periods.
 VISIBILITY_HALF_PERIODS = 3
+# GriddedCdf.ppf's guide table has between this many and twice as many
+# cells per CDF node (16 on the default grid).
+GUIDE_CELLS_PER_NODE = 12
 
 
 class GriddedCdf:
@@ -65,7 +69,64 @@ class GriddedCdf:
         return np.interp(q, self.x, self.cumulative)
 
     def ppf(self, u) -> np.ndarray:
-        return np.interp(u, self.cumulative, self.x)
+        """``np.interp(u, cumulative, x)``, bit for bit, by indexed search.
+
+        A guide table over u (Chen & Asau 1974) gives the interval ``j`` of
+        each key whose cell holds no node straight away, and the key's
+        position comes from numpy's own steps, ``slope[j] * (u -
+        cumulative[j]) + x[j]``.  The keys in a cell that holds a node go to
+        ``np.interp``: they include every key at or below 0, at or above the
+        top node, or NaN, and so all of numpy's special cases.
+        """
+        inverse_width, guide, slopes = self._guide
+        keys = np.asarray(u, dtype=float).ravel()
+        # NaN and the keys above the top land in the top node's cell, the
+        # negative keys in the first.
+        offsets = np.fmin(keys, self.cumulative[-1])
+        np.fmax(offsets, 0.0, out=offsets)
+        interval = np.empty(keys.shape, dtype=np.intp)
+        # np.interp raises nothing, and rounds a tiny product as these do.
+        with np.errstate(under="ignore"):
+            np.multiply(offsets, inverse_width, out=interval, casting="unsafe")
+            interval = guide.take(interval).astype(np.intp)
+            # A key left to np.interp has interval -1, which wraps to the last
+            # node and its slope of 0, so its stand-in here stays finite.
+            # (take would copy an ``out`` first in its default mode.)
+            positions = self.cumulative.take(interval)
+            np.subtract(offsets, positions, out=offsets)
+            np.take(slopes, interval, out=positions, mode="wrap")
+            offsets *= positions
+            np.take(self.x, interval, out=positions, mode="wrap")
+            positions += offsets
+        rest = np.flatnonzero(interval < 0)
+        positions[rest] = np.interp(keys[rest], self.cumulative, self.x)
+        return positions.reshape(np.shape(u))
+
+    @functools.cached_property
+    def _guide(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """The guide table's inverse cell width, the table, and the slopes.
+
+        Keys and nodes go to cells by one monotone map, ``floor(value *
+        inverse_width)``, so a key in a cell that holds no node lies above
+        every node of the cells before and below every node of those after:
+        its interval starts at the last node before the cell, which the
+        table stores (-1 for a cell that holds a node).  The width is a
+        power of two, so that the map scales exactly.  The slopes are
+        np.interp's, ``diff(x) / diff(cumulative)``, and a 0 past the top
+        node; the infinite slope of a flat step starts at a node, so no
+        cell that holds none selects it.
+        """
+        cumulative = self.cumulative
+        _, exponent = np.frexp(cumulative[-1] / (GUIDE_CELLS_PER_NODE * cumulative.size))
+        inverse_width = math.ldexp(1.0, min(1 - int(exponent), 1023))
+        with np.errstate(all="ignore"):  # underflow in the cells, inf in the slopes
+            slopes = np.append(np.diff(self.x) / np.diff(cumulative), 0.0)
+            per_cell = np.bincount((cumulative * inverse_width).astype(np.intp))
+        # The smallest signed integers that hold -1 and the node count.
+        guide = np.cumsum(per_cell, dtype=np.min_scalar_type(-1 - cumulative.size))
+        guide -= per_cell + 1
+        guide[per_cell > 0] = -1
+        return inverse_width, guide, slopes
 
     def interval_masses(self, edges: np.ndarray) -> np.ndarray:
         return np.diff(self.cdf(edges))

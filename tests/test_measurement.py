@@ -50,7 +50,8 @@ def chi2_p(positions, config, tag):
 
 def one_shot_arrivals(config, geom, n, seed):
     """The draws the blocks must join into: one rng.random(n) of outcome
-    uniforms (none with one possible outcome), then one of position uniforms."""
+    uniforms (none with one possible outcome), then one of position uniforms,
+    each inverted by np.interp, which GriddedCdf.ppf must match bit for bit."""
     rng = np.random.default_rng(seed)
     probs = outcome_probabilities(config, geom)
     weights = [probs[tag] for tag in OUTCOME_ORDER]
@@ -62,8 +63,8 @@ def one_shot_arrivals(config, geom, n, seed):
     u_position = rng.random(n)
     positions = np.empty(n)
     for idx in possible:
-        density = conditional_density(config, OUTCOME_ORDER[idx], geom)
-        positions[index == idx] = GriddedCdf(density).ppf(u_position[index == idx])
+        cdf = GriddedCdf(conditional_density(config, OUTCOME_ORDER[idx], geom))
+        positions[index == idx] = np.interp(u_position[index == idx], cdf.cumulative, cdf.x)
     return index, positions
 
 

@@ -4,6 +4,7 @@
 ``slitlab.stats`` must match bit for bit.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -11,10 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
 
 from slitlab import stats
-from slitlab.measurement import Illumination, ensemble_density
+from slitlab.measurement import (
+    Illumination,
+    conditional_density,
+    ensemble_density,
+    outcome_probabilities,
+)
 from slitlab.optics import RealDensity, SlitGeometry, default_geometry
 from slitlab.stats import (
     CHI2_BIN_LADDER,
@@ -37,21 +44,17 @@ OFF_DENSITY = ensemble_density(Illumination.OFF, GEOM)
 BOTH_DENSITY = ensemble_density(Illumination.BOTH_HOLES, GEOM)
 
 
+def gridded_density(values, span=1.0):
+    """A density of ``values`` on a grid over [0, span]."""
+    width = 0.5e-6 * math.sqrt(min(span, 1.0))  # far field, the fringe period 0.01 * span
+    geom = SlitGeometry(hole_separation=5e-6, hole_width_a=width, hole_width_b=width,
+                        wall_to_backstop=1.0, de_broglie_wavelength=50e-9 * span,
+                        grid_min=0.0, grid_max=span, grid_points=len(values))
+    return RealDensity(geom, values, float(np.trapezoid(values, geom.grid)))
+
+
 def unit_interval_density(values=None, grid_points=2001):
-    geom = SlitGeometry(
-        hole_separation=5e-6,
-        hole_width_a=0.5e-6,
-        hole_width_b=0.5e-6,
-        wall_to_backstop=1.0,
-        de_broglie_wavelength=50e-9,
-        grid_min=0.0,
-        grid_max=1.0,
-        grid_points=grid_points,
-    )
-    if values is None:
-        values = np.ones(grid_points)
-    total = float(np.trapezoid(values, geom.grid))
-    return RealDensity(geom, values, total)
+    return gridded_density(np.ones(grid_points) if values is None else values)
 
 
 class TestSamplePositions:
@@ -116,6 +119,70 @@ class TestSamplePositions:
         for bad in (0.3, np.nan, np.inf):
             with pytest.raises(ValueError, match="outside"):
                 PositionSample(np.array([0.0, bad]), GEOM)
+
+
+def ppf_keys(cdf, u):
+    """``u`` and the keys where inverting ``cdf`` has an edge: each node's
+    cumulative value and its neighbours, each guide cell's edges, zeros,
+    the top and past it, negative keys, NaN and the infinities."""
+    nodes = cdf.cumulative
+    inverse_width, guide, _ = cdf._guide
+    edges = np.arange(guide.size + 1) / inverse_width
+    return np.concatenate([
+        u, nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, -0.0, 5e-324, nodes[-1] * 2, 1.0, 2.0, 1e308, -5e-324, -1.0, -1e308,
+         np.nan, -np.nan, np.inf, -np.inf],
+    ])
+
+
+def assert_ppf_is_interp(cdf, keys):
+    with np.errstate(all="raise"):
+        positions = cdf.ppf(keys)
+    assert positions.tobytes() == np.interp(keys, cdf.cumulative, cdf.x).tobytes()
+
+
+# A cell value: an exact zero, a subnormal, or an ordinary magnitude; each
+# repeats a few times, so that zero runs make flat CDF steps.  Tiny spans
+# make tiny products; wide ones, with tiny values, slopes that overflow.
+CELL_VALUES = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(1e-300, 1e3))
+SPANS = st.sampled_from([1e-308, 1.0, 1e3, 1e6])
+
+
+@st.composite
+def densities_and_keys(draw):
+    runs = draw(st.lists(st.tuples(CELL_VALUES, st.integers(1, 40)), min_size=1, max_size=30))
+    values = np.repeat(*map(np.array, zip(*runs)))
+    if values.size < 2:
+        values = np.append(values, 0.0)
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=200)))
+    return gridded_density(values, draw(SPANS)), u
+
+
+class TestGriddedCdfPpf:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=densities_and_keys())
+    @example(case=(gridded_density(np.zeros(5), 1.0), np.array([0.5])))
+    @example(case=(gridded_density(np.array([1e-310, 5e-324]), 1e3), np.array([0.5])))
+    @example(case=(gridded_density(np.array([1.0, 3.0, 0.0, 0.0, 2.0]), 1e-308), np.array([0.5])))
+    def test_is_np_interp_bit_for_bit(self, case):
+        density, u = case
+        cdf = GriddedCdf(density)
+        assert_ppf_is_interp(cdf, ppf_keys(cdf, u))
+
+    @pytest.mark.parametrize("illumination", Illumination)
+    def test_is_np_interp_on_every_sampled_density(self, illumination):
+        rng = np.random.default_rng(5)
+        for tag, p in outcome_probabilities(illumination, GEOM).items():
+            if p > 0:
+                cdf = GriddedCdf(conditional_density(illumination, tag, GEOM))
+                assert_ppf_is_interp(cdf, ppf_keys(cdf, rng.random(100_000)))
+
+    def test_keeps_the_shape_of_its_keys(self):
+        cdf = GriddedCdf(OFF_DENSITY)
+        u = np.random.default_rng(6).random((3, 4))
+        assert cdf.ppf(u).shape == (3, 4)
+        assert cdf.ppf(u).tobytes() == np.interp(u, cdf.cumulative, cdf.x).tobytes()
 
 
 class TestHistogram:
