@@ -12,21 +12,27 @@ and photons.csv), a flat summary.json of metrics, and config_resolved.txt
 echoing every resolved parameter including the seed.  Reruns with the
 same configuration are byte-identical.  --out must be a new path or an
 empty directory; a run writes into a staging directory beside it and
-renames that into place only when every artifact is complete.
+renames that into place only when every artifact is complete.  A run
+that fails, or is stopped by Ctrl-C or SIGTERM (exit status 143), removes
+its staging directory and leaves no --out behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -573,8 +579,39 @@ def run(config: RunConfig) -> None:
         raise
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Have the interpreter skip the objects alive at exit when it tears down.
+
+    numpy and scipy.special leave about 40,000 tracked objects after their
+    import.  From main's return to the end of a g3 --n 500000 process took
+    about 106 ms with them freed at shutdown and 20 ms with the heap frozen
+    by an exit hook (medians of 11, 2-vCPU Xeon, Python 3.11.7).
+    Exit hooks run before the module teardown and the final collections,
+    and the other hooks still run.  Registered by main, once per process,
+    so that importing this module leaves the importer's teardown as it was;
+    a run triggers no full collection, so freezing earlier would gain
+    nothing and would keep an in-process caller's cycles from being freed.
+    """
+    atexit.register(gc.freeze)
+
+
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_heap_at_exit()
     argv = sys.argv[1:] if argv is None else argv
+    # While a run is on, SIGTERM unwinds it as Ctrl-C does, so that run()
+    # removes its staging directory; the caller's handler is put back after.
+    # An ignored SIGTERM stays ignored, and one handled outside Python
+    # (getsignal gives None) is left alone.
+    previous = signal.getsignal(signal.SIGTERM)
+    unwind = (threading.current_thread() is threading.main_thread()
+              and previous not in (None, signal.SIG_IGN))
+    if unwind:
+        signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         config = parse_args(argv)
         run(config)
@@ -589,6 +626,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: io failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if unwind:
+            signal.signal(signal.SIGTERM, previous)
     return EXIT_OK
 
 
