@@ -38,11 +38,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 from . import measurement, shelving, stats
 from .optics import QuadratureConvergenceError, SlitGeometry, default_geometry, visibility
-from .measurement import OUTCOME_ORDER, Illumination, OutcomeTag
+from .measurement import CSV_BLOCK_ROWS, OUTCOME_ORDER, Illumination, OutcomeTag
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_args", "run"]
 
@@ -65,10 +64,6 @@ EXIT_IO = 3
 # in fringe periods per side; the windows of the sampled statistics are
 # stats.VISIBILITY_HALF_PERIODS and stats.CHI2_HALF_PERIODS.
 VISIBILITY_HALF_PERIODS = 1
-
-# CSV rows are formatted and written, and two-hole electrons drawn, this many
-# at a time, so memory depends on the block, not on the length of the record.
-CSV_BLOCK_ROWS = 65_536
 
 class ConfigError(ValueError):
     """Invalid command line, config file, or parameter combination."""
@@ -271,55 +266,38 @@ class _Labels:
 
 # Floats in [1e-4, 1e16) in magnitude, where orjson writes repr's text.
 # Outside it the two differ in layout (orjson's 0.000015, 1e16 and null
-# for repr's 1.5e-05, 1e+16 and nan), so those cells take repr.
+# for repr's 1.5e-05, 1e+16 and nan), so rows with such a cell take repr.
 _ORJSON_FLOATS = (1e-4, 1e16)
 
-def _float_cells(values: np.ndarray) -> bytes:
-    """repr's text of each float64, each followed by a newline.
 
-    Each run of values inside _ORJSON_FLOATS is one orjson call, whose
-    "[x,y]" becomes "x\ny\n"; each run outside it takes repr.
+def _float_rows(table: np.ndarray) -> bytes:
+    """repr's text of each row of a 2-D float64 block: its cells joined by
+    commas, each row followed by a newline.
+
+    Each run of rows whose every cell lies inside _ORJSON_FLOATS is one
+    orjson call.  A lone column's "[x,y]" becomes "x\ny\n"; several
+    columns' "[[x,y],[z,w]]" becomes "x,y\nz,w\n" (dumping a lone column
+    as 2-D takes about five times as long).  Every other row takes repr.
     """
-    values = np.ascontiguousarray(values)
-    magnitude = np.abs(values)
+    import orjson  # here, not at module level: only runs that write CSV need it
+
+    magnitude = np.abs(table)
     low, high = _ORJSON_FLOATS
-    ordinary = (magnitude >= low) & (magnitude < high)  # NaN compares False
+    ordinary = ((magnitude >= low) & (magnitude < high)).all(axis=1)  # NaN compares False
     del magnitude
-    bounds = [0, *(np.flatnonzero(ordinary[1:] != ordinary[:-1]) + 1).tolist(), len(values)]
+    bounds = [0, *(np.flatnonzero(ordinary[1:] != ordinary[:-1]) + 1).tolist(), len(table)]
     pieces = []
     for start, stop in zip(bounds, bounds[1:]):
-        run = values[start:stop]
-        if ordinary[start]:
-            text = orjson.dumps(run, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b"\n")
+        run = table[start:stop]
+        if not ordinary[start]:
+            pieces.append("".join(",".join(map(repr, row)) + "\n" for row in run.tolist()).encode())
+        elif table.shape[1] == 1:
+            text = orjson.dumps(run.ravel(), option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b"\n")
             pieces += [memoryview(text)[1:-1], b"\n"]
         else:
-            pieces.append("".join(f"{value!r}\n" for value in run.tolist()).encode())
+            text = orjson.dumps(run, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\n")
+            pieces += [memoryview(text)[2:-2], b"\n"]
     return b"".join(pieces)
-
-
-def _cells(column) -> bytes:
-    """The text of the cells of a column of values, each followed by a newline."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return _float_cells(column)
-    return "".join(f"{_fmt(value)}\n" for value in column).encode()
-
-
-def _cell_table(column, end: str) -> np.ndarray:
-    """A byte matrix of one row per cell: the cell's text and ``end``,
-    left-aligned and NUL-padded to the longest row."""
-    cells = _cells(column)
-    text = np.frombuffer(cells, np.uint8)
-    ends = np.flatnonzero(text == ord("\n"))
-    lengths = np.diff(ends, prepend=-1)  # newline included
-    width = int(lengths.max())
-    # Row i starts as the ``width`` bytes from cell i's first, read through a
-    # view that steps one byte per element; the bytes past its newline belong
-    # to the next cells and are zeroed.
-    windows = np.ndarray((len(text),), f"V{width}", cells + bytes(width), strides=(1,))
-    table = windows[ends + 1 - lengths].view(np.uint8).reshape(len(ends), width)
-    table *= np.arange(width) < lengths[:, None]
-    table[np.arange(len(ends)), lengths - 1] = ord(end)
-    return table
 
 
 def _append_labels(lines: bytes, labels: _Labels) -> bytearray:
@@ -343,18 +321,17 @@ def _append_labels(lines: bytes, labels: _Labels) -> bytearray:
 def _format_block(columns: list) -> bytes | bytearray:
     """The CSV lines of one block of equal-length columns, each ending in a newline.
 
-    A lone column of values is its cells' text.  Several are laid side by
-    side in one NUL-padded byte matrix, whose padding is then dropped, so
-    that no object is made per row.  A _Labels column may only come last,
-    after another: it is appended to the lines of the columns before it.
+    Float64 array columns are stacked into one 2-D block for _float_rows.
+    Any other block (in a run, only trajectory.csv's, which leads with its
+    state names) is formatted row by row.  A _Labels column may only come
+    last, after another: it is appended to the lines of the columns before it.
     """
     if isinstance(columns[-1], _Labels):
         return _append_labels(_format_block(columns[:-1]), columns[-1])
-    if len(columns) == 1:
-        return _cells(columns[0])
-    ends = [","] * (len(columns) - 1) + ["\n"]
-    table = np.hstack([_cell_table(column, end) for column, end in zip(columns, ends)])
-    return table[table != 0].tobytes()
+    if all(isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns):
+        return _float_rows(np.column_stack(columns))
+    lines = map(",".join, zip(*[map(_fmt, column) for column in columns]))
+    return "".join([line + "\n" for line in lines]).encode()
 
 
 def _write_chunk(fh, columns: list) -> int:

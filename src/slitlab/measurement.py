@@ -59,6 +59,10 @@ class OutcomeTag(enum.Enum):
 # arrival_blocks yields indices into it.
 OUTCOME_ORDER = tuple(OutcomeTag)
 
+# Two-hole electrons are drawn, and CSV rows formatted and written, this many
+# at a time, so memory depends on the block, not on the length of the record.
+CSV_BLOCK_ROWS = 65_536
+
 # Per regime: the ensemble density, and the branch density of each outcome
 # that can occur.  An outcome missing from a regime has probability 0 there.
 # The electron's hole is known for every arrival exactly when the ensemble is
@@ -128,7 +132,7 @@ def arrival_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Draw ``n`` electrons' sighting outcomes, then each one's arrival position.
 
-    Yields ``(outcome_index, positions)`` per block of ``cli.CSV_BLOCK_ROWS``
+    Yields ``(outcome_index, positions)`` per block of ``CSV_BLOCK_ROWS``
     electrons, the index pointing into ``OUTCOME_ORDER``.  Outcomes partition
     one uniform each by cumulative probability in that order, so none of
     probability 0 is drawn, and none at all where only one can occur (no
@@ -136,7 +140,6 @@ def arrival_blocks(
     conditional density.  The blocks join into two one-shot ``rng.random(n)``
     draws: the positions read a copy of ``rng`` advanced past the outcomes.
     """
-    from .cli import CSV_BLOCK_ROWS  # the CSV writer's block; cli imports this module
     probs = outcome_probabilities(illumination, geom)
     cdfs = {idx: _position_cdf(conditional_density(illumination, tag, geom))
             for idx, tag in enumerate(OUTCOME_ORDER) if probs[tag] > 0}

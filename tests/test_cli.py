@@ -789,12 +789,23 @@ EDGE_FLOATS = ORJSON_EDGES + [float(np.nextafter(edge, toward)) for edge in ORJS
 OUTCOMES = ("seen_at_a", "seen_at_b", "not_seen")
 
 
+# Three float columns: runs of two ordinary rows between rows of edge cells.
+THREE_COLUMN_ROWS = [row for i, x in enumerate(EDGE_FLOATS)
+                     for row in [(1.5 + i, -2.25e3, 1e15), (0.1, 7e-4, -i - 1.0), (x, 2.5, -x)]]
+
+
 # Both fail if an orjson release writes a float differently, rather than
-# letting the artifacts drift.
-@given(st.lists(st.floats(), min_size=1))
-@example(EDGE_FLOATS)
-def test_float_cells_are_repr_text(xs):
-    assert cli._format_block([np.array(xs)]) == ("\n".join(map(repr, xs)) + "\n").encode()
+# letting the artifacts drift.  One to four float columns: a lone column and
+# several take different orjson layouts, and rows with a cell outside
+# cli._ORJSON_FLOATS take repr.
+@given(st.integers(1, 4).flatmap(
+    lambda n_columns: st.lists(st.tuples(*[st.floats()] * n_columns), min_size=1)))
+@example([(x,) for x in EDGE_FLOATS])
+@example(THREE_COLUMN_ROWS)
+def test_float_cells_are_repr_text(rows):
+    columns = [np.array(column) for column in zip(*rows)]
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert cli._format_block(columns) == expected.encode()
 
 
 @given(st.lists(st.tuples(st.floats(), st.sampled_from(OUTCOMES)), min_size=1))

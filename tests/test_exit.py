@@ -46,6 +46,16 @@ def test_import_alone_changes_nothing():
     assert proc.stdout.split() == ["0", "True"]
 
 
+def test_orjson_is_imported_by_the_first_csv_block_only():
+    code = ("import sys, numpy, slitlab.cli as cli\n"
+            "print('orjson' in sys.modules)\n"
+            "cli._format_block([numpy.array([0.5])])\n"
+            "print('orjson' in sys.modules)\n")
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_main_freezes_the_heap_at_exit_once_and_restores_sigterm(tmp_path):
     code = OBSERVER + (
         "registered = []\n"

@@ -132,7 +132,7 @@ class TestApplyMeasurement:
 
     @pytest.mark.parametrize("config", Illumination, ids=lambda regime: regime.value)
     def test_blocks_join_into_the_one_shot_draws(self, config, monkeypatch):
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1000)
+        monkeypatch.setattr(measurement, "CSV_BLOCK_ROWS", 1000)
         n = 2503
         blocks = list(arrival_blocks(config, GEOM, n, np.random.default_rng(17)))
         assert [positions.size for _, positions in blocks] == [1000, 1000, 503]
@@ -174,6 +174,25 @@ class TestEnsembleDensity:
         off = ensemble_density(Illumination.OFF, GEOM)
         early = ensemble_density(Illumination.HOLE_A_EARLY_OFF, GEOM)
         assert np.max(np.abs(off.values - early.values)) < 1e-12
+
+    # The two tests above compare one cached density with itself; this one
+    # builds both sums from the single-hole amplitudes, apart from the regime
+    # table, and checks that the wrong one is far off.
+    @pytest.mark.parametrize("illumination, kind", [
+        (Illumination.BOTH_HOLES, "incoherent"),
+        (Illumination.HOLE_A, "incoherent"),
+        (Illumination.OFF, "coherent"),
+        (Illumination.HOLE_A_EARLY_OFF, "coherent"),
+    ], ids=lambda value: getattr(value, "value", value))
+    def test_density_is_its_sum_of_amplitudes(self, illumination, kind):
+        psi_a, psi_b = (single_hole_amplitude(GEOM, hole).values for hole in (Hole.A, Hole.B))
+        sums = {"incoherent": np.abs(psi_a) ** 2 + np.abs(psi_b) ** 2,
+                "coherent": np.abs(psi_a + psi_b) ** 2}
+        values = ensemble_density(illumination, GEOM).values
+        deviation = {name: np.max(np.abs(values - p / np.trapezoid(p, GEOM.grid)))
+                     for name, p in sums.items()}
+        assert deviation.pop(kind) <= 1e-12
+        assert deviation.popitem()[1] > 1e-3 * values.max()
 
 
 class TestConditionalDensity:
