@@ -41,7 +41,7 @@ import numpy as np
 
 from . import measurement, shelving, stats
 from .optics import QuadratureConvergenceError, SlitGeometry, default_geometry, visibility
-from .measurement import CSV_BLOCK_ROWS, OUTCOME_ORDER, Illumination, OutcomeTag
+from .measurement import OUTCOME_ORDER, Illumination, OutcomeTag
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_args", "run"]
 
@@ -64,6 +64,15 @@ EXIT_IO = 3
 # in fringe periods per side; the windows of the sampled statistics are
 # stats.VISIBILITY_HALF_PERIODS and stats.CHI2_HALF_PERIODS.
 VISIBILITY_HALF_PERIODS = 1
+
+
+def __getattr__(name: str):
+    # cli.CSV_BLOCK_ROWS reads measurement's at each lookup, so that the one
+    # name sets both the sampler's blocks and the writer's.
+    if name == "CSV_BLOCK_ROWS":
+        return measurement.CSV_BLOCK_ROWS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class ConfigError(ValueError):
     """Invalid command line, config file, or parameter combination."""
@@ -264,6 +273,10 @@ class _Labels:
         return _Labels(self.names, self.codes[rows])
 
 
+# _append_labels grows a block's text in place about this many bytes at a
+# time, so that a piece's copies take a small part of the room the text held.
+_LABEL_PIECE_BYTES = 1 << 16
+
 # Floats in [1e-4, 1e16) in magnitude, where orjson writes repr's text.
 # Outside it the two differ in layout (orjson's 0.000015, 1e16 and null
 # for repr's 1.5e-05, 1e+16 and nan), so rows with such a cell take repr.
@@ -300,21 +313,36 @@ def _float_rows(table: np.ndarray) -> bytes:
     return b"".join(pieces)
 
 
-def _append_labels(lines: bytes, labels: _Labels) -> bytearray:
-    """``lines`` with ``,name`` of each row's label put before its newline.
+def _append_labels(columns: list, labels: _Labels) -> bytearray:
+    """The CSV lines of ``columns`` with ``,name`` of each row's label put
+    before its newline, built in the one copy of their text.
 
     Each row's newline becomes its label's code, a byte below 10 (the
-    newline's own), and then each code byte in turn becomes ``,name\n``;
-    so there are at most 10 names, and no byte of ``lines`` or of a name
-    may be below their count, as CSV text's never are.
+    newline's own), so there are at most 10 names, and no byte of the lines
+    or of a name may be below their count, as CSV text's never are.  The
+    text then grows in place from its end: each piece of rows, the last
+    first, has each code that occurs in the block replaced by ``,name\n``
+    and is moved to where it ends in the output, past all it has not read.
     """
-    marked = bytearray(lines)
-    del lines  # hold the block's text once
+    marked = bytearray(_format_block(columns))
+    # The pieces' bounds, at row ends, from the end of the text to its start.
+    bounds = [len(marked)]
+    while bounds[-1]:
+        bounds.append(marked.rfind(b"\n", 0, max(bounds[-1] - _LABEL_PIECE_BYTES, 0)) + 1)
     text = np.frombuffer(marked, np.uint8)
     text[text == ord("\n")] = labels.codes
-    del text  # it holds the buffer of the first copy
-    for code, name in enumerate(labels.names):
-        marked = marked.replace(bytes([code]), f",{name}\n".encode())
+    del text  # it holds the buffer, which growing it may move
+    row_ends = [f",{name}\n".encode() for name in labels.names]
+    counts = np.bincount(labels.codes, minlength=len(row_ends))
+    present = [(bytes([code]), row_ends[code]) for code in np.flatnonzero(counts)]
+    end = len(marked) + int(counts @ [len(row_end) - 1 for row_end in row_ends])
+    marked += bytes(end - len(marked))
+    for stop, start in zip(bounds, bounds[1:]):
+        piece = marked[start:stop]
+        for code, row_end in present:
+            piece = piece.replace(code, row_end)
+        marked[end - len(piece):end] = piece
+        end -= len(piece)
     return marked
 
 
@@ -327,21 +355,24 @@ def _format_block(columns: list) -> bytes | bytearray:
     last, after another: it is appended to the lines of the columns before it.
     """
     if isinstance(columns[-1], _Labels):
-        return _append_labels(_format_block(columns[:-1]), columns[-1])
+        return _append_labels(columns[:-1], columns[-1])
     if all(isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns):
-        return _float_rows(np.column_stack(columns))
+        # A lone column is viewed, where column_stack would copy it.
+        table = columns[0][:, np.newaxis] if len(columns) == 1 else np.column_stack(columns)
+        return _float_rows(table)
     lines = map(",".join, zip(*[map(_fmt, column) for column in columns]))
     return "".join([line + "\n" for line in lines]).encode()
 
 
 def _write_chunk(fh, columns: list) -> int:
-    """Write one chunk of equal-length columns, CSV_BLOCK_ROWS rows at a time;
-    return its row count."""
+    """Write one chunk of equal-length columns, measurement.CSV_BLOCK_ROWS
+    rows at a time; return its row count."""
     n_rows = len(columns[0])
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"{Path(fh.name).name}: columns differ in length")
-    for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        fh.write(_format_block([column[start:start + CSV_BLOCK_ROWS] for column in columns]))
+    block = measurement.CSV_BLOCK_ROWS
+    for start in range(0, n_rows, block):
+        fh.write(_format_block([column[start:start + block] for column in columns]))
     return n_rows
 
 
@@ -350,8 +381,9 @@ def _write_csv(path: Path, header: list[str], chunks: Iterable[list]) -> int:
 
     The rows arrive as consecutive chunks, each a list of equal-length
     columns: a table held in memory is one chunk, a stream is read a chunk
-    at a time.  Each block of CSV_BLOCK_ROWS rows is formatted and written
-    in turn, so the bytes written do not depend on where the chunks end.
+    at a time.  Each block of measurement.CSV_BLOCK_ROWS rows is formatted
+    and written in turn, so the bytes written do not depend on where the
+    chunks end.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
@@ -458,7 +490,11 @@ def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
     detector = shelving.JumpDetector(traj.total_time, threshold)
 
     def detected(chunk: np.ndarray) -> list:
-        detector.feed(chunk)
+        # A block at a time, so that the detector's temporaries are set by
+        # the block, not by the dwell; it infers the same silences.
+        block = measurement.CSV_BLOCK_ROWS
+        for start in range(0, chunk.size, block):
+            detector.feed(chunk[start:start + block])
         return [chunk]
 
     n_photons = _write_csv(out / "photons.csv", ["arrival_time_s"],

@@ -61,7 +61,10 @@ OUTCOME_ORDER = tuple(OutcomeTag)
 
 # Two-hole electrons are drawn, and CSV rows formatted and written, this many
 # at a time, so memory depends on the block, not on the length of the record.
-CSV_BLOCK_ROWS = 65_536
+# At 16,384 rows a block's text is about 0.35 MB and each of its arrays
+# 128 KiB, so a labelled block's text, output and arrays together fit in a
+# 2 MiB L2 cache; at 65,536 each text buffer alone was about 1.4 MB.
+CSV_BLOCK_ROWS = 16_384
 
 # Per regime: the ensemble density, and the branch density of each outcome
 # that can occur.  An outcome missing from a regime has probability 0 there.
@@ -103,9 +106,10 @@ def _analytic_density(geom: SlitGeometry, kind: str) -> RealDensity:
     return RealDensity(geom, values, float(np.trapezoid(values, x)))
 
 
-# The sampler's CDF of each density, whose guide table is then built once per
-# density rather than once per arrival_blocks call.  Each holds about 0.4 MiB
-# on the default grid, and a run samples at most two, so fewer are kept.
+# The sampler's CDF over the branch densities of a regime's possible
+# outcomes, whose guide table is then built once per regime rather than once
+# per arrival_blocks call.  It holds about 0.4 MiB a density on the default
+# grid, and a run samples one regime, so few are kept.
 _position_cdf = lru_cache(maxsize=8)(stats.GriddedCdf)
 
 
@@ -137,29 +141,29 @@ def arrival_blocks(
     one uniform each by cumulative probability in that order, so none of
     probability 0 is drawn, and none at all where only one can occur (no
     light, or light cut early); a second uniform inverts the outcome's
-    conditional density.  The blocks join into two one-shot ``rng.random(n)``
-    draws: the positions read a copy of ``rng`` advanced past the outcomes.
+    conditional density, all outcomes' in one ``GriddedCdf.ppf`` call a
+    block.  The blocks join into two one-shot ``rng.random(n)`` draws: the
+    positions read a copy of ``rng`` advanced past the outcomes.
     """
     probs = outcome_probabilities(illumination, geom)
-    cdfs = {idx: _position_cdf(conditional_density(illumination, tag, geom))
-            for idx, tag in enumerate(OUTCOME_ORDER) if probs[tag] > 0}
-    # Rounding can leave a draw past the last edge; it goes to the last possible outcome.
-    edges, last = np.cumsum([probs[tag] for tag in OUTCOME_ORDER]), max(cdfs)
+    possible = [tag for tag in OUTCOME_ORDER if probs[tag] > 0]
+    cdf = _position_cdf(*(conditional_density(illumination, tag, geom) for tag in possible))
+    outcome_index = np.array([OUTCOME_ORDER.index(tag) for tag in possible])
+    # A draw at or past an edge is past the possible outcome that ends there;
+    # rounding can leave a draw past the last one, so it has no edge.
+    edges = np.cumsum([probs[tag] for tag in possible])[:-1]
     position_rng = copy.deepcopy(rng)
-    position_rng.bit_generator.advance(n if len(cdfs) > 1 else 0)  # PCG64's jump-ahead
+    position_rng.bit_generator.advance(n if edges.size else 0)  # PCG64's jump-ahead
     for start in range(0, n, CSV_BLOCK_ROWS):
         size = min(CSV_BLOCK_ROWS, n - start)
-        if len(cdfs) == 1:
-            positions = cdfs[last].ppf(position_rng.random(size))
-            yield np.full(size, last), positions
-            continue
-        index = np.minimum(np.searchsorted(edges, rng.random(size), side="right"), last)
-        u_position = position_rng.random(size)
-        positions = np.empty(size, dtype=float)
-        for idx, cdf in cdfs.items():
-            mask = index == idx
-            positions[mask] = cdf.ppf(u_position[mask])
-        yield index, positions
+        rows = np.zeros(size, dtype=np.uint8)  # each electron's outcome among the possible
+        if edges.size:
+            u_outcome = rng.random(size)
+            for edge in edges:
+                rows += u_outcome >= edge
+            del u_outcome
+        positions = cdf.ppf(position_rng.random(size), rows)
+        yield outcome_index.take(rows), positions
 
 
 def ensemble_density(illumination: Illumination, geom: SlitGeometry) -> RealDensity:

@@ -153,7 +153,9 @@ def _check_arrivals(times: np.ndarray, total_time: float, after: float = -math.i
         # fails, is rejected without another pass over the times.
         if not (times.min() >= 0 and times.max() <= total_time):
             raise ValueError("arrival times must lie within [0, total_time]")
-        if not times[0] > after or np.any(np.diff(times) <= 0):
+        # A comparison of neighbours, not np.diff: its temporary is a byte
+        # per arrival, not eight, and the times left here are finite.
+        if not times[0] > after or np.any(times[1:] <= times[:-1]):
             raise ValueError("arrival times must be strictly increasing")
 
 
@@ -218,7 +220,11 @@ def photon_chunks(
         count = int(rng.poisson(rates.fluorescence_rate * duration))
         if not count:
             continue
-        times = start + np.sort(rng.random(count)) * duration
+        # start + sort(u) * duration, the same steps in the same order, in one array.
+        times = rng.random(count)
+        times.sort()
+        times *= duration
+        times += start
         # Sorted, so equal times can only be neighbours; the first is
         # compared with the previous dwell's last arrival.
         distinct = np.empty(count, dtype=bool)

@@ -50,45 +50,55 @@ GUIDE_CELLS_PER_NODE = 12
 
 
 class GriddedCdf:
-    """Piecewise-linear CDF of a gridded density (trapezoid cell masses).
+    """Piecewise-linear CDFs of gridded densities on one grid (trapezoid cell masses).
 
-    Linear interpolation between the cumulative node values makes the CDF
+    Linear interpolation between the cumulative node values makes each CDF
     continuous and strictly tractable in both directions; the implied
-    sampling density is piecewise constant over grid cells.
+    sampling density is piecewise constant over grid cells.  ``cumulative``
+    holds the node values of one density, or a row of them for each of
+    several; ``cdf`` and ``interval_masses`` take one density.
     """
 
-    def __init__(self, density: RealDensity):
-        x = density.x
-        v = density.values
-        cell_mass = 0.5 * (v[1:] + v[:-1]) * np.diff(x)
-        cumulative = np.concatenate(([0.0], np.cumsum(cell_mass)))
+    def __init__(self, *densities: RealDensity):
+        x = densities[0].x
+        if any(not np.array_equal(density.x, x) for density in densities[1:]):
+            raise ValueError("the densities do not share one grid")
+        values = np.array([density.values for density in densities])
+        cell_mass = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(x)
+        cumulative = np.concatenate((np.zeros((len(densities), 1)), np.cumsum(cell_mass, axis=1)),
+                                    axis=1)
         self.x = x
-        self.cumulative = cumulative
+        self.cumulative = cumulative[0] if len(densities) == 1 else cumulative
 
     def cdf(self, q) -> np.ndarray:
         return np.interp(q, self.x, self.cumulative)
 
-    def ppf(self, u) -> np.ndarray:
-        """``np.interp(u, cumulative, x)``, bit for bit, by indexed search.
+    def ppf(self, u, rows=None) -> np.ndarray:
+        """``np.interp(u, cumulative, x)``, bit for bit, by indexed search;
+        with several densities, each key ``u`` inverts its own row of
+        ``cumulative``, given by ``rows``.
 
         A guide table over u (Chen & Asau 1974) gives the interval ``j`` of
-        each key whose cell holds no node straight away, and the key's
-        position comes from numpy's own steps, ``slope[j] * (u -
+        each key whose cell holds no node of its density straight away, and
+        the key's position comes from numpy's own steps, ``slope[j] * (u -
         cumulative[j]) + x[j]``.  The keys in a cell that holds a node go to
         ``np.interp``: they include every key at or below 0, at or above the
         top node, or NaN, and so all of numpy's special cases.
         """
-        inverse_width, guide, slopes = self._guide
+        inverse_width, guide, slopes, nodes, top = self._guide
         keys = np.asarray(u, dtype=float).ravel()
         # NaN and the keys above the top land in the top node's cell, the
         # negative keys in the first.
-        offsets = np.fmin(keys, self.cumulative[-1])
+        offsets = np.fmin(keys, top)
         np.fmax(offsets, 0.0, out=offsets)
         interval = np.empty(keys.shape, dtype=np.intp)
         # np.interp raises nothing, and rounds a tiny product as these do.
         with np.errstate(under="ignore"):
             np.multiply(offsets, inverse_width, out=interval, casting="unsafe")
-            interval = guide.take(interval).astype(np.intp)
+            if guide.shape[1] > 1:  # the entry of the key's own density in its cell
+                interval *= guide.shape[1]
+                interval += np.ravel(rows)
+            interval[:] = guide.take(interval)
             # A key left to np.interp has interval -1, which wraps to the last
             # node and its slope of 0, so its stand-in here stays finite.
             # (take would copy an ``out`` first in its default mode.)
@@ -96,37 +106,51 @@ class GriddedCdf:
             np.subtract(offsets, positions, out=offsets)
             np.take(slopes, interval, out=positions, mode="wrap")
             offsets *= positions
-            np.take(self.x, interval, out=positions, mode="wrap")
+            np.take(nodes, interval, out=positions, mode="wrap")
             positions += offsets
         rest = np.flatnonzero(interval < 0)
-        positions[rest] = np.interp(keys[rest], self.cumulative, self.x)
+        rest_rows = np.ravel(rows)[rest] if guide.shape[1] > 1 else np.zeros_like(rest)
+        for row, cumulative in enumerate(np.atleast_2d(self.cumulative)):
+            picked = rest[rest_rows == row]
+            positions[picked] = np.interp(keys[picked], cumulative, self.x)
         return positions.reshape(np.shape(u))
 
     @functools.cached_property
-    def _guide(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """The guide table's inverse cell width, the table, and the slopes.
+    def _guide(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
+        """The guide table's inverse cell width, the table, the slopes, the
+        nodes' x, and the top node value that keys are clamped to.
 
         Keys and nodes go to cells by one monotone map, ``floor(value *
         inverse_width)``, so a key in a cell that holds no node lies above
         every node of the cells before and below every node of those after:
         its interval starts at the last node before the cell, which the
-        table stores (-1 for a cell that holds a node).  The width is a
-        power of two, so that the map scales exactly.  The slopes are
-        np.interp's, ``diff(x) / diff(cumulative)``, and a 0 past the top
-        node; the infinite slope of a flat step starts at a node, so no
-        cell that holds none selects it.
+        table stores (-1 for a cell that holds a node, or that lies past
+        the density's top node).  The width is a power of two, so that the
+        map scales exactly, and is shared by the densities, a column each.
+        Intervals index the densities' nodes end to end: ``j`` of density
+        ``r`` is ``r * nodes + j`` in the flat slopes, x and cumulative
+        values.  The slopes are np.interp's, ``diff(x) / diff(cumulative)``,
+        and a 0 past each top node; the infinite slope of a flat step
+        starts at a node, so no cell that holds none selects it.
         """
-        cumulative = self.cumulative
-        _, exponent = np.frexp(cumulative[-1] / (GUIDE_CELLS_PER_NODE * cumulative.size))
+        cumulative = np.atleast_2d(self.cumulative)
+        n_rows, size = cumulative.shape
+        top = cumulative[:, -1].max()
+        _, exponent = np.frexp(top / (GUIDE_CELLS_PER_NODE * size))
         inverse_width = math.ldexp(1.0, min(1 - int(exponent), 1023))
         with np.errstate(all="ignore"):  # underflow in the cells, inf in the slopes
-            slopes = np.append(np.diff(self.x) / np.diff(cumulative), 0.0)
-            per_cell = np.bincount((cumulative * inverse_width).astype(np.intp))
+            slopes = np.diff(self.x) / np.diff(cumulative)
+            cells = (cumulative * inverse_width).astype(np.intp)
         # The smallest signed integers that hold -1 and the node count.
-        guide = np.cumsum(per_cell, dtype=np.min_scalar_type(-1 - cumulative.size))
-        guide -= per_cell + 1
-        guide[per_cell > 0] = -1
-        return inverse_width, guide, slopes
+        guide = np.empty((cells.max() + 1, n_rows), dtype=np.min_scalar_type(-1 - cumulative.size))
+        for row, row_cells in enumerate(cells):
+            # The cells past node j's, up to node j + 1's, start at node j.
+            starts = np.arange(row * size, (row + 1) * size - 1, dtype=guide.dtype)
+            guide[1:row_cells[-1] + 1, row] = np.repeat(starts, np.diff(row_cells))
+            guide[row_cells, row] = -1
+            guide[row_cells[-1]:, row] = -1
+        slopes = np.pad(slopes, ((0, 0), (0, 1))).ravel()
+        return inverse_width, guide, slopes, np.tile(self.x, n_rows), top
 
     def interval_masses(self, edges: np.ndarray) -> np.ndarray:
         return np.diff(self.cdf(edges))
@@ -288,11 +312,14 @@ class WindowedChi2:
         self._below = np.zeros((n_groups, self._edges.size), dtype=np.int64)
 
     def feed(self, positions: np.ndarray, groups: np.ndarray | None = None) -> None:
-        """Count the next arrivals; ``groups`` gives each one's, if there are several."""
+        """Count the next arrivals; ``groups`` gives each one's, if there are several.
+
+        Only the groups with arrivals in this block are sorted."""
         inside = (positions >= self.lo) & (positions <= self.hi)
-        for group, below in enumerate(self._below):
-            selected = positions[inside if groups is None else inside & (groups == group)]
-            below += np.searchsorted(np.sort(selected), self._edges)
+        present = [0] if groups is None else np.flatnonzero(np.bincount(groups))
+        for group in present:
+            selected = positions[inside if len(present) == 1 else inside & (groups == group)]
+            self._below[group] += np.searchsorted(np.sort(selected), self._edges)
 
     def finish(
         self, density: RealDensity | None = None, group: int | None = None

@@ -14,7 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import slitlab.cli as cli
+from slitlab import measurement
 from slitlab.cli import ConfigError, main, parse_args
+from slitlab.measurement import Illumination
+from slitlab.optics import default_geometry
 
 
 def read_summary(path):
@@ -639,11 +642,11 @@ def test_artifacts_match_pinned_digests(tmp_path, experiment):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-# sha256 of the tables at --n 200003 --seed 7: three full CSV_BLOCK_ROWS
-# blocks and a ragged one, taken from the one-shot sampler before arrivals
-# were drawn block by block.  A stream whose blocks do not join into the
-# one-shot draws fails here.
-MULTI_BLOCK_N = 3 * cli.CSV_BLOCK_ROWS + 3395
+# sha256 of the tables at --n 200003 --seed 7: twelve full 16,384-row blocks
+# and a ragged one of 3,395 rows, taken from the one-shot sampler before
+# arrivals were drawn block by block.  A stream whose blocks do not join
+# into the one-shot draws fails here.
+MULTI_BLOCK_N = 200_003
 MULTI_BLOCK_PINNED_SHA256 = {
     "g2": {
         "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
@@ -658,7 +661,6 @@ MULTI_BLOCK_PINNED_SHA256 = {
 
 @pytest.mark.parametrize("experiment", sorted(MULTI_BLOCK_PINNED_SHA256))
 def test_multi_block_artifacts_match_pinned_digests(tmp_path, experiment):
-    assert MULTI_BLOCK_N == 200_003
     out = tmp_path / experiment
     assert main([experiment, "--n", str(MULTI_BLOCK_N), "--seed", "7", "--out", str(out)]) == 0
     for name, digest in MULTI_BLOCK_PINNED_SHA256[experiment].items():
@@ -693,6 +695,22 @@ def test_shelving_artifacts_match_pinned_digests(tmp_path, seed):
     assert main(["shelving", "--total-time", "10", "--seed", str(seed), "--out", str(out)]) == 0
     for name, digest in SHELVING_PINNED_SHA256[seed].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("block_rows", [1000, 65_536])
+def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block_rows):
+    # measurement.CSV_BLOCK_ROWS sets both the sampler's blocks and the
+    # writer's; only summary.json's visibility_sampled, summed a block at a
+    # time, may move in its last digit.
+    monkeypatch.setattr(measurement, "CSV_BLOCK_ROWS", block_rows)
+    runs = [([experiment, "--n", str(MULTI_BLOCK_N)], digests)
+            for experiment, digests in MULTI_BLOCK_PINNED_SHA256.items()]
+    runs.append((["shelving", "--total-time", "10"], SHELVING_PINNED_SHA256[7]))
+    for argv, digests in runs:
+        out = tmp_path / argv[0]
+        assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (argv, name)
 
 
 def reference_fmt(value) -> str:
@@ -751,7 +769,8 @@ def assert_writers_agree(tmp_path, header, columns):
     return reference
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,
+                                    4 * cli.CSV_BLOCK_ROWS, 4 * cli.CSV_BLOCK_ROWS + 1])
 def test_writer_matches_reference_at_block_edges(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
@@ -815,6 +834,24 @@ def test_float_and_label_rows_are_repr_text(rows):
     codes = np.array([OUTCOMES.index(label) for label in labels])
     text = cli._format_block([np.array(xs), cli._Labels(OUTCOMES, codes)])
     assert text == "".join(f"{x!r},{label}\n" for x, label in rows).encode()
+
+
+@pytest.mark.parametrize("illumination", [Illumination.BOTH_HOLES, Illumination.HOLE_A],
+                         ids=lambda illumination: illumination.value)
+def test_labelled_block_holds_its_text_once(illumination):
+    # The float text of a block is held once, and the labels are put into it
+    # as it grows: formatting peaks at no more than that text and the output.
+    index, positions = next(measurement.arrival_blocks(
+        illumination, default_geometry(), measurement.CSV_BLOCK_ROWS, np.random.default_rng(1)))
+    labels = cli._Labels(OUTCOMES, index)
+    float_text = cli._format_block([positions])
+    tracemalloc.start()
+    try:
+        output = cli._format_block([positions, labels])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(float_text) + len(output), peak
 
 
 def test_chunk_edges_do_not_change_the_bytes(tmp_path):

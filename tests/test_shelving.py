@@ -120,7 +120,7 @@ class PlantedDraws:
         return len(self.draws[0])
 
     def random(self, count):
-        return self.draws.pop(0)
+        return self.draws.pop(0).copy()  # a new array, as Generator.random's
 
 
 # Two bright dwells around a dark one too short to move the clock: the

@@ -40,6 +40,9 @@ from slitlab.stats import (
 )
 
 GEOM = default_geometry()
+UNEQUAL_GEOM = SlitGeometry(hole_separation=5e-6, hole_width_a=1.0e-6, hole_width_b=0.5e-6,
+                            wall_to_backstop=1.0, de_broglie_wavelength=50e-9,
+                            grid_min=-0.2, grid_max=0.2, grid_points=8192)
 OFF_DENSITY = ensemble_density(Illumination.OFF, GEOM)
 BOTH_DENSITY = ensemble_density(Illumination.BOTH_HOLES, GEOM)
 
@@ -121,13 +124,13 @@ class TestSamplePositions:
                 PositionSample(np.array([0.0, bad]), GEOM)
 
 
-def ppf_keys(cdf, u):
-    """``u`` and the keys where inverting ``cdf`` has an edge: each node's
-    cumulative value and its neighbours, each guide cell's edges, zeros,
-    the top and past it, negative keys, NaN and the infinities."""
-    nodes = cdf.cumulative
-    inverse_width, guide, _ = cdf._guide
-    edges = np.arange(guide.size + 1) / inverse_width
+def ppf_keys(cdf, u, row=0):
+    """``u`` and the keys where inverting a row of ``cdf`` has an edge: each
+    node's cumulative value and its neighbours, each guide cell's edges,
+    zeros, the top and past it, negative keys, NaN and the infinities."""
+    nodes = np.atleast_2d(cdf.cumulative)[row]
+    inverse_width, guide, *_ = cdf._guide
+    edges = np.arange(len(guide) + 1) / inverse_width
     return np.concatenate([
         u, nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
@@ -142,6 +145,22 @@ def assert_ppf_is_interp(cdf, keys):
     assert positions.tobytes() == np.interp(keys, cdf.cumulative, cdf.x).tobytes()
 
 
+def assert_stacked_ppf_is_interp(densities, u, seed):
+    """A GriddedCdf of several densities inverts each key by its own row, as
+    np.interp does: every row's ppf_keys, shuffled together."""
+    cdf = GriddedCdf(*densities)
+    keys, rows = map(np.concatenate, zip(*[
+        (row_keys, np.full(row_keys.size, row, dtype=np.uint8))
+        for row, row_keys in enumerate(ppf_keys(cdf, u, row) for row in range(len(densities)))]))
+    order = np.random.default_rng(seed).permutation(keys.size)
+    keys, rows = keys[order], rows[order]
+    with np.errstate(all="raise"):
+        positions = cdf.ppf(keys, rows)
+    for row in range(len(densities)):
+        expected = np.interp(keys[rows == row], np.atleast_2d(cdf.cumulative)[row], cdf.x)
+        assert positions[rows == row].tobytes() == expected.tobytes(), row
+
+
 # A cell value: an exact zero, a subnormal, or an ordinary magnitude; each
 # repeats a few times, so that zero runs make flat CDF steps.  Tiny spans
 # make tiny products; wide ones, with tiny values, slopes that overflow.
@@ -149,14 +168,28 @@ CELL_VALUES = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(1e-
 SPANS = st.sampled_from([1e-308, 1.0, 1e3, 1e6])
 
 
+def cell_values(draw):
+    runs = draw(st.lists(st.tuples(CELL_VALUES, st.integers(1, 40)), min_size=1, max_size=30))
+    return np.repeat(*map(np.array, zip(*runs)))
+
+
 @st.composite
 def densities_and_keys(draw):
-    runs = draw(st.lists(st.tuples(CELL_VALUES, st.integers(1, 40)), min_size=1, max_size=30))
-    values = np.repeat(*map(np.array, zip(*runs)))
+    values = cell_values(draw)
     if values.size < 2:
         values = np.append(values, 0.0)
     u = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=200)))
     return gridded_density(values, draw(SPANS)), u
+
+
+@st.composite
+def stacked_densities_and_keys(draw):
+    """Two or three densities on one grid, and keys, as densities_and_keys's."""
+    density, u = draw(densities_and_keys())
+    others = [np.resize(cell_values(draw), density.values.size)
+              for _ in range(draw(st.integers(1, 2)))]
+    return [density, *(RealDensity(density.geometry, values, float(np.trapezoid(values, density.x)))
+                       for values in others)], u
 
 
 class TestGriddedCdfPpf:
@@ -177,6 +210,25 @@ class TestGriddedCdfPpf:
             if p > 0:
                 cdf = GriddedCdf(conditional_density(illumination, tag, GEOM))
                 assert_ppf_is_interp(cdf, ppf_keys(cdf, rng.random(100_000)))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=stacked_densities_and_keys())
+    def test_stacked_is_np_interp_of_each_row_bit_for_bit(self, case):
+        densities, u = case
+        assert_stacked_ppf_is_interp(densities, u, len(u))
+
+    # On the default geometry the two branch densities are the same; with
+    # unequal holes they differ, so a key inverted by the wrong row shows.
+    @pytest.mark.parametrize("geom", [GEOM, UNEQUAL_GEOM], ids=["default", "unequal_holes"])
+    @pytest.mark.parametrize("illumination", Illumination)
+    def test_stacked_is_np_interp_on_every_regime(self, illumination, geom):
+        densities = [conditional_density(illumination, tag, geom)
+                     for tag, p in outcome_probabilities(illumination, geom).items() if p > 0]
+        assert_stacked_ppf_is_interp(densities, np.random.default_rng(8).random(100_000), 9)
+
+    def test_stacked_densities_share_one_grid(self):
+        with pytest.raises(ValueError, match="one grid"):
+            GriddedCdf(OFF_DENSITY, unit_interval_density())
 
     def test_keeps_the_shape_of_its_keys(self):
         cdf = GriddedCdf(OFF_DENSITY)
