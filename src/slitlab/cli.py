@@ -60,18 +60,12 @@ EXIT_BAD_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-# Visibility of the analytic density is read over the minimum legal window,
-# in fringe periods per side; the windows of the sampled statistics are
-# stats.VISIBILITY_HALF_PERIODS and stats.CHI2_HALF_PERIODS.
-VISIBILITY_HALF_PERIODS = 1
-
-
-def __getattr__(name: str):
-    # cli.CSV_BLOCK_ROWS reads measurement's at each lookup, so that the one
-    # name sets both the sampler's blocks and the writer's.
-    if name == "CSV_BLOCK_ROWS":
-        return measurement.CSV_BLOCK_ROWS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# A run's grid must resolve each fringe period in at least this many points:
+# a density interpolated linearly between grid points damps the first fringe
+# harmonic by about sinc^2(pi/k) at k points a period, 0.987 here.  Only runs
+# are held to it; SlitGeometry admits the coarse grids that tests of the
+# numerics build.
+MIN_POINTS_PER_FRINGE = 16
 
 
 class ConfigError(ValueError):
@@ -123,8 +117,9 @@ class RunConfig:
                              _finite_positive, "wall-to-backstop distance (m)")
 
     def geometry(self) -> SlitGeometry:
-        """The default geometry with this run's wavelength, holes and distance."""
-        return dataclasses.replace(
+        """The default geometry with this run's wavelength, holes and
+        distance; its grid must resolve the fringes."""
+        geom = dataclasses.replace(
             _DEFAULT_GEOMETRY,
             hole_separation=self.separation,
             hole_width_a=self.hole_width,
@@ -132,6 +127,11 @@ class RunConfig:
             wall_to_backstop=self.distance,
             de_broglie_wavelength=self.wavelength,
         )
+        per_fringe = geom.fringe_period * (geom.grid_points - 1) / (geom.grid_max - geom.grid_min)
+        if per_fringe < MIN_POINTS_PER_FRINGE:
+            raise ValueError(f"grid has {per_fringe:.4g} points per fringe period, "
+                             f"fewer than the {MIN_POINTS_PER_FRINGE} that resolve the fringes")
+        return geom
 
 
 # The run parameters by config key: the flag without its dashes, "_" for "-".
@@ -273,8 +273,8 @@ class _Labels:
         return _Labels(self.names, self.codes[rows])
 
 
-# _append_labels grows a block's text in place about this many bytes at a
-# time, so that a piece's copies take a small part of the room the text held.
+# _write_labelled writes a block's text this many bytes at a time, so that
+# the copies a piece's labels make are small beside the text.
 _LABEL_PIECE_BYTES = 1 << 16
 
 # Floats in [1e-4, 1e16) in magnitude, where orjson writes repr's text.
@@ -313,49 +313,13 @@ def _float_rows(table: np.ndarray) -> bytes:
     return b"".join(pieces)
 
 
-def _append_labels(columns: list, labels: _Labels) -> bytearray:
-    """The CSV lines of ``columns`` with ``,name`` of each row's label put
-    before its newline, built in the one copy of their text.
-
-    Each row's newline becomes its label's code, a byte below 10 (the
-    newline's own), so there are at most 10 names, and no byte of the lines
-    or of a name may be below their count, as CSV text's never are.  The
-    text then grows in place from its end: each piece of rows, the last
-    first, has each code that occurs in the block replaced by ``,name\n``
-    and is moved to where it ends in the output, past all it has not read.
-    """
-    marked = bytearray(_format_block(columns))
-    # The pieces' bounds, at row ends, from the end of the text to its start.
-    bounds = [len(marked)]
-    while bounds[-1]:
-        bounds.append(marked.rfind(b"\n", 0, max(bounds[-1] - _LABEL_PIECE_BYTES, 0)) + 1)
-    text = np.frombuffer(marked, np.uint8)
-    text[text == ord("\n")] = labels.codes
-    del text  # it holds the buffer, which growing it may move
-    row_ends = [f",{name}\n".encode() for name in labels.names]
-    counts = np.bincount(labels.codes, minlength=len(row_ends))
-    present = [(bytes([code]), row_ends[code]) for code in np.flatnonzero(counts)]
-    end = len(marked) + int(counts @ [len(row_end) - 1 for row_end in row_ends])
-    marked += bytes(end - len(marked))
-    for stop, start in zip(bounds, bounds[1:]):
-        piece = marked[start:stop]
-        for code, row_end in present:
-            piece = piece.replace(code, row_end)
-        marked[end - len(piece):end] = piece
-        end -= len(piece)
-    return marked
-
-
-def _format_block(columns: list) -> bytes | bytearray:
+def _format_block(columns: list) -> bytes:
     """The CSV lines of one block of equal-length columns, each ending in a newline.
 
     Float64 array columns are stacked into one 2-D block for _float_rows.
     Any other block (in a run, only trajectory.csv's, which leads with its
-    state names) is formatted row by row.  A _Labels column may only come
-    last, after another: it is appended to the lines of the columns before it.
+    state names) is formatted row by row.
     """
-    if isinstance(columns[-1], _Labels):
-        return _append_labels(columns[:-1], columns[-1])
     if all(isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns):
         # A lone column is viewed, where column_stack would copy it.
         table = columns[0][:, np.newaxis] if len(columns) == 1 else np.column_stack(columns)
@@ -364,15 +328,42 @@ def _format_block(columns: list) -> bytes | bytearray:
     return "".join([line + "\n" for line in lines]).encode()
 
 
+def _write_labelled(fh, text: bytearray, labels: _Labels) -> None:
+    """Write the CSV lines ``text`` with ``,name`` of each row's label put
+    before its newline.
+
+    Each row's newline becomes its label's code, a byte below 10 (the
+    newline's own), so there are at most 10 names, and no byte of the lines
+    or of a name may be below their count, as CSV text's never are.  The
+    text is then written _LABEL_PIECE_BYTES at a time, each code that occurs
+    in the block replaced by ``,name\n``; a code is one byte, so a piece may
+    end anywhere in a row.
+    """
+    marks = np.frombuffer(text, np.uint8)
+    marks[marks == ord("\n")] = labels.codes
+    present = [(bytes([code]), f",{labels.names[code]}\n".encode())
+               for code in np.flatnonzero(np.bincount(labels.codes))]
+    for start in range(0, len(text), _LABEL_PIECE_BYTES):
+        piece = text[start:start + _LABEL_PIECE_BYTES]
+        for code, row_end in present:
+            piece = piece.replace(code, row_end)
+        fh.write(piece)
+
+
 def _write_chunk(fh, columns: list) -> int:
     """Write one chunk of equal-length columns, measurement.CSV_BLOCK_ROWS
-    rows at a time; return its row count."""
+    rows at a time; return its row count.  A _Labels column may only come
+    last, after another: its names go after the lines of the columns before it."""
     n_rows = len(columns[0])
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"{Path(fh.name).name}: columns differ in length")
     block = measurement.CSV_BLOCK_ROWS
     for start in range(0, n_rows, block):
-        fh.write(_format_block([column[start:start + block] for column in columns]))
+        rows = [column[start:start + block] for column in columns]
+        if isinstance(rows[-1], _Labels):
+            _write_labelled(fh, bytearray(_format_block(rows[:-1])), rows[-1])
+        else:
+            fh.write(_format_block(rows))
     return n_rows
 
 

@@ -1,6 +1,7 @@
 """Command-line runs: artifacts, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -194,6 +195,22 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("separation", ["1e-2", "1e-3", "3e-4", "1e-4"])
+    def test_unresolved_fringes_are_bad_geometry(self, tmp_path, capsys, monkeypatch, separation):
+        # 0.1 to 10 grid points a fringe period: rejected before any sampling.
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
+        out = tmp_path / "x"
+        assert main(["g1", "--n", "100", "--out", str(out), "--separation", separation]) == 1
+        assert "bad geometry" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_must_resolve_the_fringes(self):
+        # 8192 points over 0.4 m: the default 1 cm period has about 205 a
+        # period, and a separation 13 times as wide leaves 15.75.
+        with pytest.raises(ConfigError, match="15.75 points per fringe period, fewer than the 16"):
+            parse_args(["g2", "--out", "x", "--separation", str(5e-6 * 13)])
+        assert parse_args(["g2", "--out", "x", "--separation", str(5e-6 * 12.79)]).geometry()
+
     def test_bad_geometry_is_rejected_by_parse_args(self):
         with pytest.raises(ConfigError, match="bad geometry: holes overlap"):
             parse_args(["g2", "--out", "x", "--hole-width", "1e-3"])
@@ -364,12 +381,13 @@ def test_two_hole_memory_is_set_by_the_block(tmp_path):
     for blocks in (2, 8):
         tracemalloc.start()
         try:
-            n = blocks * cli.CSV_BLOCK_ROWS
+            n = blocks * measurement.CSV_BLOCK_ROWS
             assert main(["g3", "--n", str(n), "--out", str(tmp_path / str(blocks))]) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    one_block_arrays = 64 * cli.CSV_BLOCK_ROWS  # eight 8-byte values per electron: 4 MiB
+    # eight 8-byte values per electron: 1 MiB
+    one_block_arrays = 64 * measurement.CSV_BLOCK_ROWS
     assert peaks[1] - peaks[0] < one_block_arrays, peaks
 
 
@@ -438,7 +456,8 @@ def test_a_run_is_one_process(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
-    assert (tmp_path / "run" / "photons.csv").read_bytes().count(b"\n") > cli.CSV_BLOCK_ROWS
+    photons = (tmp_path / "run" / "photons.csv").read_bytes()
+    assert photons.count(b"\n") > measurement.CSV_BLOCK_ROWS
 
 
 class TestOutputDirectory:
@@ -769,8 +788,10 @@ def assert_writers_agree(tmp_path, header, columns):
     return reference
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,
-                                    4 * cli.CSV_BLOCK_ROWS, 4 * cli.CSV_BLOCK_ROWS + 1])
+BLOCK = measurement.CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK, BLOCK + 1, 4 * BLOCK, 4 * BLOCK + 1])
 def test_writer_matches_reference_at_block_edges(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
@@ -832,36 +853,53 @@ def test_float_cells_are_repr_text(rows):
 def test_float_and_label_rows_are_repr_text(rows):
     xs, labels = zip(*rows)
     codes = np.array([OUTCOMES.index(label) for label in labels])
-    text = cli._format_block([np.array(xs), cli._Labels(OUTCOMES, codes)])
-    assert text == "".join(f"{x!r},{label}\n" for x, label in rows).encode()
+    fh = io.BytesIO()
+    text = bytearray(cli._format_block([np.array(xs)]))
+    cli._write_labelled(fh, text, cli._Labels(OUTCOMES, codes))
+    assert fh.getvalue() == "".join(f"{x!r},{label}\n" for x, label in rows).encode()
 
 
 @pytest.mark.parametrize("illumination", [Illumination.BOTH_HOLES, Illumination.HOLE_A],
                          ids=lambda illumination: illumination.value)
-def test_labelled_block_holds_its_text_once(illumination):
-    # The float text of a block is held once, and the labels are put into it
-    # as it grows: formatting peaks at no more than that text and the output.
+def test_labelled_block_holds_its_text_once(tmp_path, illumination):
+    # The float text of a block is held once, and its labels are put in a
+    # piece at a time as it is written: writing peaks at no more than that
+    # text and the output.
     index, positions = next(measurement.arrival_blocks(
         illumination, default_geometry(), measurement.CSV_BLOCK_ROWS, np.random.default_rng(1)))
     labels = cli._Labels(OUTCOMES, index)
     float_text = cli._format_block([positions])
-    tracemalloc.start()
-    try:
-        output = cli._format_block([positions, labels])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with open(tmp_path / "samples.csv", "wb") as fh:
+        tracemalloc.start()
+        try:
+            cli._write_labelled(fh, bytearray(cli._format_block([positions])), labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    output = (tmp_path / "samples.csv").read_bytes()
+    assert output.count(b"\n") == len(positions)
     assert peak <= len(float_text) + len(output), peak
 
 
+@pytest.mark.parametrize("piece_bytes", [1, 7])
+def test_label_pieces_may_end_anywhere(tmp_path, monkeypatch, piece_bytes):
+    # Pieces of one byte, and of seven (no divisor of a row's length), end
+    # inside rows, at their starts and on their newlines.
+    monkeypatch.setattr(cli, "_LABEL_PIECE_BYTES", piece_bytes)
+    n_rows = BLOCK + BLOCK // 2
+    rng = np.random.default_rng(piece_bytes)
+    columns = [rng.standard_normal(n_rows), cli._Labels(OUTCOMES, rng.integers(0, 3, n_rows))]
+    assert_writers_agree(tmp_path, ["x_m", "outcome"], columns)
+
+
 def test_chunk_edges_do_not_change_the_bytes(tmp_path):
-    n_rows = cli.CSV_BLOCK_ROWS + 10
+    n_rows = measurement.CSV_BLOCK_ROWS + 10
     rng = np.random.default_rng(3)
     floats = rng.standard_normal(n_rows)
     labels = cli._Labels(("bright", "dark"), rng.integers(0, 2, n_rows))
     whole = assert_writers_agree(tmp_path, ["t", "state"], [floats, labels])
     # an empty first chunk, an empty chunk in the middle, one longer than a block, an empty tail
-    cuts = [0, 0, 5, 5, cli.CSV_BLOCK_ROWS + 7, n_rows, n_rows]
+    cuts = [0, 0, 5, 5, measurement.CSV_BLOCK_ROWS + 7, n_rows, n_rows]
     chunks = [[floats[a:b], cli._Labels(labels.names, labels.codes[a:b])]
               for a, b in zip(cuts, cuts[1:])]
     cli._write_csv(tmp_path / "chunked.csv", ["t", "state"], iter(chunks))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slitlab import cli, measurement
+from slitlab import measurement
 from slitlab.measurement import (
     OUTCOME_ORDER,
     Illumination,
@@ -316,8 +316,8 @@ def test_sampler_footprint_estimate_covers_sample_arrivals(illumination):
     # 53-61 B), while a single 8-byte array of all n arrivals would fill it.
     for _ in arrival_blocks(illumination, GEOM, 10, np.random.default_rng(0)):
         pass  # densities cached
-    n = 8 * cli.CSV_BLOCK_ROWS + 3
-    one_block_estimate = 64 * cli.CSV_BLOCK_ROWS
+    n = 8 * measurement.CSV_BLOCK_ROWS + 3
+    one_block_estimate = 64 * measurement.CSV_BLOCK_ROWS
     assert 8 * n > one_block_estimate
     tracemalloc.start()
     try:

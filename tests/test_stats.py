@@ -1,7 +1,8 @@
 """Sampler, histogram, and goodness-of-fit calibration checks.
 
-``scipy.stats`` is imported here only, as the reference the p-values of
-``slitlab.stats`` must match bit for bit.
+``scipy.stats`` is imported here only: as the reference the p-values of
+``slitlab.stats`` must match bit for bit, and for the KS test of their
+uniformity under the true model.
 """
 
 import math
@@ -18,11 +19,13 @@ from scipy import stats as sps
 from slitlab import stats
 from slitlab.measurement import (
     Illumination,
+    arrival_blocks,
     conditional_density,
     ensemble_density,
     outcome_probabilities,
 )
 from slitlab.optics import RealDensity, SlitGeometry, default_geometry
+from slitlab.shelving import IonState, default_rates, simulate_trajectory
 from slitlab.stats import (
     CHI2_BIN_LADDER,
     CHI2_HALF_PERIODS,
@@ -449,6 +452,42 @@ class TestWindowedChi2:
         chi2 = WindowedChi2(OFF_DENSITY)
         with pytest.raises(ValueError, match="window"):
             chi2.finish(unit_interval_density())
+
+
+# Simulation-based calibration (Talts et al. 2018): under the true model a
+# test's p-values are uniform.  The seeds are fixed in advance, and the
+# p-values of each test go to a KS test against U(0, 1).
+CALIBRATION_SEEDS = range(200)
+
+
+def assert_uniform(p_values):
+    assert sps.kstest(p_values, "uniform").pvalue >= 0.01
+
+
+@pytest.mark.parametrize("illumination", [Illumination.OFF, Illumination.BOTH_HOLES],
+                         ids=lambda illumination: illumination.value)
+def test_windowed_chi2_p_values_are_uniform(illumination):
+    # g1 and g2 at 1e4 electrons a seed; g3 draws g2's positions at a seed.
+    density = ensemble_density(illumination, GEOM)
+    p_values = []
+    for seed in CALIBRATION_SEEDS:
+        chi2 = WindowedChi2(density)
+        for _, positions in arrival_blocks(illumination, GEOM, 10_000,
+                                           np.random.default_rng(seed)):
+            chi2.feed(positions)
+        p_values.append(chi2.finish()[0].p_value)
+    assert_uniform(p_values)
+
+
+@pytest.mark.parametrize("state", IonState, ids=lambda state: state.value)
+def test_ks_exponential_p_values_are_uniform(state):
+    # About 33 complete dwells of each kind in 100 s.
+    rates = default_rates()
+    rate = rates.shelve_rate if state is IonState.BRIGHT else rates.deshelve_rate
+    p_values = [ks_exponential(simulate_trajectory(rates, 100.0, np.random.default_rng(seed))
+                               .durations(state), rate).p_value
+                for seed in CALIBRATION_SEEDS]
+    assert_uniform(p_values)
 
 
 class TestKsExponential:
