@@ -100,14 +100,26 @@ class SlitGeometry:
             raise ValueError("grid_min must be below grid_max")
         if self.hole_separation <= (self.hole_width_a + self.hole_width_b) / 2:
             raise ValueError("holes overlap: separation must exceed the mean hole width")
+        if not self.wavelength_distance > 0:
+            raise ValueError(f"wavelength*distance = {self.wavelength_distance!r} underflows; "
+                             "it must be positive")
         for width in (self.hole_width_a, self.hole_width_b):
-            if width**2 / self.wavelength_distance > FRAUNHOFER_LIMIT:
+            # width * width, not width**2: a product overflows to inf, where ** raises.
+            fresnel_number = width * width / self.wavelength_distance
+            if fresnel_number > FRAUNHOFER_LIMIT:
                 raise ValueError(
                     "outside the far-field regime: hole width^2/(wavelength*distance) "
-                    f"= {width**2 / self.wavelength_distance:.3g} exceeds {FRAUNHOFER_LIMIT}"
+                    f"= {fresnel_number:.3g} exceeds {FRAUNHOFER_LIMIT}"
                 )
         if self.grid_max - self.grid_min < 6 * self.fringe_period:
             raise ValueError("grid must span at least six fringe periods (three fringes per side)")
+        # single_hole_amplitude's phase ramp, in its order of operations: a
+        # product past the float range there gives inf, then NaN.
+        edge = max(abs(self.grid_min), abs(self.grid_max))
+        if not math.isfinite(2 * math.pi * (self.hole_separation / 2) * edge
+                             / self.wavelength_distance):
+            raise ValueError("the holes' phase ramp 2*pi*x_h*x/(wavelength*distance) "
+                             "overflows at the grid's ends")
 
     @property
     def wavelength_distance(self) -> float:

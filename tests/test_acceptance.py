@@ -1,19 +1,24 @@
 """Acceptance suite: one check per headline claim, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -s` (or plain pytest; the
-verdict lines bypass capture) to see the per-criterion results.
+verdict lines bypass capture) to see the per-criterion results.  A
+passing criterion's line must also equal its line in
+acceptance_verdicts.txt, so a change that moves any printed figure shows.
+
+Criteria 1-5 run `slitlab` at the suite's size and seed and read what it
+writes: summary.json's fields, the arrivals in samples.csv and the
+analytic density in density.csv.
 """
 
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from slitlab.cli import main as cli_main
 from slitlab.measurement import (
-    OUTCOME_ORDER,
     Illumination,
-    OutcomeTag,
-    arrival_blocks,
     conditional_density,
     ensemble_density,
     outcome_probabilities,
@@ -29,31 +34,50 @@ from slitlab.optics import (
 )
 from slitlab.shelving import (
     IonState,
+    JumpDetector,
     VSystemRates,
     dark_threshold_for_false_rate,
     default_rates,
-    detect_jumps,
-    emit_photons,
+    photon_chunks,
     score_detections,
     simulate_trajectory,
 )
-from slitlab.stats import (
-    CHI2_HALF_PERIODS,
-    PositionSample,
-    WindowedChi2,
-    fringe_visibility_from_positions,
-    ks_exponential,
-)
+from slitlab.stats import CHI2_HALF_PERIODS, WindowedChi2, ks_exponential
 from test_optics import random_far_field_geometry
 
 GEOM = default_geometry()
 N_ELECTRONS = 100_000
 SEED = 7
+PINNED_VERDICTS = Path(__file__).with_name("acceptance_verdicts.txt")
+
 
 def verdict(number, title, ok, detail):
-    stream = sys.__stdout__ or sys.stdout
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({title}): {detail}", file=stream)
+    line = f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({title}): {detail}"
+    print(line, file=sys.__stdout__ or sys.stdout)
     assert ok, f"criterion {number} ({title}): {detail}"
+    pinned = PINNED_VERDICTS.read_text().splitlines()[number - 1]
+    assert line == pinned, f"criterion {number}'s verdict line differs from {PINNED_VERDICTS.name}"
+
+
+def run_slitlab(experiment, directory):
+    """Run a two-hole experiment at the suite's size and seed under
+    ``directory``; return its output directory and its summary."""
+    out = directory / experiment
+    argv = [experiment, "--n", str(N_ELECTRONS), "--seed", str(SEED), "--out", str(out)]
+    assert cli_main(argv) == 0
+    return out, json.loads((out / "summary.json").read_text())
+
+
+def read_csv(path):
+    """Each column of a run's CSV file by its header name, as text."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        table = np.loadtxt(fh, delimiter=",", dtype=str, ndmin=2)
+    return dict(zip(header, table.T))
+
+
+def analytic_density(out):
+    return read_csv(out / "density.csv")["analytic_density_per_m"].astype(float)
 
 
 def chi2_p(positions, density):
@@ -64,18 +88,10 @@ def chi2_p(positions, density):
     return result.p_value
 
 
-def arrivals(config):
-    """Outcome index and arrival position of every electron at the suite's seed,
-    drawn through the block stream of a run."""
-    blocks = list(arrival_blocks(config, GEOM, N_ELECTRONS, np.random.default_rng(SEED)))
-    return tuple(np.concatenate(column) for column in zip(*blocks))
-
-
-def test_criterion_1_interference():
-    density = ensemble_density(Illumination.OFF, GEOM)
-    _, positions = arrivals(Illumination.OFF)
-    vis = fringe_visibility_from_positions(PositionSample(positions, GEOM))
-    p_fit = chi2_p(positions, density)
+def test_criterion_1_interference(tmp_path):
+    out, summary = run_slitlab("g1", tmp_path)
+    vis, p_fit = summary["visibility_sampled"], summary["chi2_p_value"]
+    positions = read_csv(out / "samples.csv")["x_m"].astype(float)
     p_wrong = chi2_p(positions, ensemble_density(Illumination.BOTH_HOLES, GEOM))
     ok = vis >= 0.90 and p_fit >= 0.01 and p_wrong < 1e-6
     verdict(
@@ -87,16 +103,10 @@ def test_criterion_1_interference():
     )
 
 
-def test_criterion_2_which_path_destruction():
-    both = Illumination.BOTH_HOLES
-    density = ensemble_density(both, GEOM)
-    index, positions = arrivals(both)
-    vis = fringe_visibility_from_positions(PositionSample(positions, GEOM))
-    p_ensemble = chi2_p(positions, density)
-    p_a, p_b = (
-        chi2_p(positions[index == OUTCOME_ORDER.index(tag)], conditional_density(both, tag, GEOM))
-        for tag in (OutcomeTag.SEEN_AT_A, OutcomeTag.SEEN_AT_B)
-    )
+def test_criterion_2_which_path_destruction(tmp_path):
+    _, summary = run_slitlab("g2", tmp_path)
+    vis, p_ensemble = summary["visibility_sampled"], summary["chi2_p_value"]
+    p_a, p_b = summary["chi2_p_value_seen_at_a"], summary["chi2_p_value_seen_at_b"]
     ok = vis <= 0.05 and p_ensemble >= 0.01 and p_a >= 0.01 and p_b >= 0.01
     verdict(
         2,
@@ -107,12 +117,11 @@ def test_criterion_2_which_path_destruction():
     )
 
 
-def test_criterion_3_one_hole_illumination_equivalence():
-    both = ensemble_density(Illumination.BOTH_HOLES, GEOM)
-    one = ensemble_density(Illumination.HOLE_A, GEOM)
-    deviation = float(np.max(np.abs(both.values - one.values)))
-    _, positions = arrivals(Illumination.HOLE_A)
-    p_fit = chi2_p(positions, one)
+def test_criterion_3_one_hole_illumination_equivalence(tmp_path):
+    both, _ = run_slitlab("g2", tmp_path)
+    one, summary = run_slitlab("g3", tmp_path)
+    deviation = float(np.max(np.abs(analytic_density(both) - analytic_density(one))))
+    p_fit = summary["chi2_p_value"]
     ok = deviation <= 1e-12 and p_fit >= 0.01
     verdict(
         3,
@@ -122,11 +131,13 @@ def test_criterion_3_one_hole_illumination_equivalence():
     )
 
 
-def test_criterion_4_negative_observation_collapse():
-    index, positions = arrivals(Illumination.HOLE_A)
-    not_seen = positions[index == OUTCOME_ORDER.index(OutcomeTag.NOT_SEEN)]
-    seen = positions[index == OUTCOME_ORDER.index(OutcomeTag.SEEN_AT_A)]
-    p_fit = chi2_p(not_seen, conditional_density(Illumination.HOLE_A, OutcomeTag.NOT_SEEN, GEOM))
+def test_criterion_4_negative_observation_collapse(tmp_path):
+    out, summary = run_slitlab("g3", tmp_path)
+    samples = read_csv(out / "samples.csv")
+    positions = samples["x_m"].astype(float)
+    not_seen = positions[samples["outcome"] == "not_seen"]
+    seen = positions[samples["outcome"] == "seen_at_a"]
+    p_fit = summary["chi2_p_value_not_seen"]
 
     # mirror comparison against the sighted branch, bin by bin
     half = CHI2_HALF_PERIODS * GEOM.fringe_period
@@ -149,12 +160,11 @@ def test_criterion_4_negative_observation_collapse():
     )
 
 
-def test_criterion_5_early_light_off_restoration():
-    off = ensemble_density(Illumination.OFF, GEOM)
-    early = ensemble_density(Illumination.HOLE_A_EARLY_OFF, GEOM)
-    deviation = float(np.max(np.abs(off.values - early.values)))
-    _, positions = arrivals(Illumination.HOLE_A_EARLY_OFF)
-    vis = fringe_visibility_from_positions(PositionSample(positions, GEOM))
+def test_criterion_5_early_light_off_restoration(tmp_path):
+    off, _ = run_slitlab("g1", tmp_path)
+    early, summary = run_slitlab("g3_early_off", tmp_path)
+    deviation = float(np.max(np.abs(analytic_density(off) - analytic_density(early))))
+    vis = summary["visibility_sampled"]
     ok = deviation <= 1e-12 and vis >= 0.90
     verdict(
         5,
@@ -223,9 +233,10 @@ def test_criterion_8_negative_observation_detector():
     tau = dark_threshold_for_false_rate(rates, 1e-4)
     rng = np.random.default_rng(SEED)
     traj = simulate_trajectory(rates, 5650.0, rng)
-    record = emit_photons(traj, rates, rng)
-    inferred = detect_jumps(record, tau)
-    score = score_detections(traj, inferred, tau)
+    detector = JumpDetector(traj.total_time, tau)
+    for chunk in photon_chunks(traj, rates, rng):
+        detector.feed(chunk)
+    score = score_detections(traj, detector.finish(), tau)
     n_jumps = traj.durations(IonState.DARK).size
     ok = (
         n_jumps >= 10_000

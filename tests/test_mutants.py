@@ -5,9 +5,9 @@ shows the program is not grossly wrong, but not that the bounds would catch
 a subtle error.  Here each mutant is put in place with ``monkeypatch``, the
 geometry caches it reaches are cleared, and the criterion named beside it
 is run with its verdict line silenced; the criterion must then read FAIL.
-Criteria 3 and 5's ``deviation`` checks compare a cached density with
-itself (the same object under both regimes), so they catch no mutant of
-the sampler.
+Criteria 3 and 5's ``deviation`` checks compare the analytic density
+columns that two runs write, so they catch a mutant that changes one
+regime's ensemble density, but none that changes only the sampler.
 """
 
 import dataclasses
@@ -93,6 +93,12 @@ MUTANTS = {
     "light cut early gives the incoherent sum": (
         regime(Illumination.HOLE_A_EARLY_OFF, "incoherent",
                {OutcomeTag.NOT_SEEN: "incoherent"}), 5),
+    "fringes restored with light at both holes": (
+        regime(Illumination.BOTH_HOLES, "interference", {OutcomeTag.SEEN_AT_A: "hole_a",
+                                                        OutcomeTag.SEEN_AT_B: "hole_b"}), 2),
+    "one lit hole gives the interference density": (
+        regime(Illumination.HOLE_A, "interference", {OutcomeTag.SEEN_AT_A: "hole_a",
+                                                    OutcomeTag.NOT_SEEN: "hole_b"}), 3),
     "hole B branch weight off by 1%": (hole_b_weight_off, 9),
     "shelve and deshelve rates swapped": (rates_swapped, 7),
     "dark threshold halved": (threshold_halved, 8),
@@ -100,6 +106,8 @@ MUTANTS = {
 
 CRITERIA = {
     1: test_acceptance.test_criterion_1_interference,
+    2: test_acceptance.test_criterion_2_which_path_destruction,
+    3: test_acceptance.test_criterion_3_one_hole_illumination_equivalence,
     4: test_acceptance.test_criterion_4_negative_observation_collapse,
     5: test_acceptance.test_criterion_5_early_light_off_restoration,
     7: test_acceptance.test_criterion_7_shelving_statistics,
@@ -109,12 +117,13 @@ CRITERIA = {
 
 
 def run_criterion(number, directory):
-    """Run one criterion; criterion 9 writes its CLI runs under ``directory``."""
-    if number == 9:
-        directory.mkdir()
-        CRITERIA[number](directory)
-    else:
+    """Run one criterion in a new ``directory``; criteria 6-8 write
+    nothing and take none."""
+    directory.mkdir()
+    if number in (6, 7, 8):
         CRITERIA[number]()
+    else:
+        CRITERIA[number](directory)
 
 
 @pytest.fixture
