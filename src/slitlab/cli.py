@@ -99,8 +99,12 @@ def _param(default, flag: str, check: Callable[..., str | None], help: str):
     return dataclasses.field(default=default, metadata=metadata)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's inputs.  Built by parse_args or by a caller, it checks every
+    field first and raises ConfigError naming the first fault, so run()
+    starts no work on a config that the command line would reject."""
+
     experiment: str
     output_dir: Path
     n_electrons: int = _param(100_000, "--n", _at_least_one, "number of electrons")
@@ -115,6 +119,34 @@ class RunConfig:
                                _finite_positive, "hole center-to-center separation (m)")
     distance: float = _param(_DEFAULT_GEOMETRY.wall_to_backstop, "--distance",
                              _finite_positive, "wall-to-backstop distance (m)")
+
+    def __post_init__(self):
+        if not self.experiment:
+            raise ConfigError("no experiment given (positional, --experiment, or config file)")
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        out = self.output_dir
+        if out is None:
+            raise ConfigError("no output directory given (--out or config file)")
+        if out.name in ("", ".."):
+            raise ConfigError(f"--out {out} does not end in a directory name")
+        if "\0" in str(out):
+            raise ConfigError(f"--out {str(out)!r} holds a NUL byte")
+        if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
+            raise ConfigError(f"--out {out} exists and is not an empty directory")
+        for param in _PARAMS.values():
+            flag, kind = param.metadata["flag"], param.metadata["type"]
+            value = getattr(self, param.name)
+            if type(value) is not kind:  # as argparse words it; a bool is no int here
+                raise ConfigError(f"argument {flag}: invalid {kind.__name__} value: '{value}'")
+            problem = param.metadata["check"](value)
+            if problem is not None:
+                raise ConfigError(f"{flag} {problem}")
+        if self.experiment in TWO_HOLE_EXPERIMENTS:
+            try:
+                self.geometry()
+            except ValueError as exc:
+                raise ConfigError(f"bad geometry: {exc}") from exc
 
     def geometry(self) -> SlitGeometry:
         """The default geometry with this run's wavelength, holes and
@@ -163,7 +195,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a byte not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -203,6 +235,7 @@ def _attach_float_values(argv: list[str]) -> list[str]:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
+    """A run's values, flags over config file over defaults; RunConfig checks them."""
     ns = _build_parser().parse_args(_attach_float_values(argv))
     file_types = {"experiment": str, "out": str}
     file_types.update((key, param.metadata["type"]) for key, param in _PARAMS.items())
@@ -218,37 +251,11 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     if ns.experiment_pos and ns.experiment and ns.experiment_pos != ns.experiment:
         raise ConfigError("conflicting positional and --experiment values")
-    experiment = ns.experiment or ns.experiment_pos or file_values.get("experiment")
-    if not experiment:
-        raise ConfigError("no experiment given (positional, --experiment, or config file)")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-
     out = ns.out or file_values.get("out")
-    if not out:
-        raise ConfigError("no output directory given (--out or config file)")
-    out = Path(str(out))
-    if out.name in ("", ".."):
-        raise ConfigError(f"--out {out} does not end in a directory name")
-    if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
-        raise ConfigError(f"--out {out} exists and is not an empty directory")
-
-    values = {}
-    for key, param in _PARAMS.items():
-        value = getattr(ns, param.name)
-        if value is None:
-            value = file_values.get(key, param.default)
-        problem = param.metadata["check"](value)
-        if problem is not None:
-            raise ConfigError(f"{param.metadata['flag']} {problem}")
-        values[param.name] = value
-    config = RunConfig(experiment=str(experiment), output_dir=out, **values)
-    if config.experiment in TWO_HOLE_EXPERIMENTS:
-        try:
-            config.geometry()
-        except ValueError as exc:
-            raise ConfigError(f"bad geometry: {exc}") from exc
-    return config
+    values = {param.name: file_values.get(key, param.default) if getattr(ns, param.name) is None
+              else getattr(ns, param.name) for key, param in _PARAMS.items()}
+    return RunConfig(experiment=ns.experiment or ns.experiment_pos or file_values.get("experiment"),
+                     output_dir=Path(out) if out else None, **values)
 
 
 def _fmt(value) -> str:
@@ -553,8 +560,6 @@ def run(config: RunConfig) -> None:
     writing included, removes the staging directory and the missing
     parents of the output directory that it made, and leaves no output.
     """
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
     runner = _run_shelving if config.experiment == "shelving" else _run_two_hole
     out = config.output_dir
     made: list[Path] = []
@@ -623,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (QuadratureConvergenceError, ArithmeticError, ValueError) as exc:
-        # parse_args has accepted the whole config, so a bad value met
+        # RunConfig has accepted the whole config, so a bad value met
         # after it is a numerical failure, not a config error.
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,5 +1,6 @@
 """Command-line runs: artifacts, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -264,6 +265,35 @@ class TestExitCodes:
         cfg.write_text("nonsense_key=1\n")
         assert main(["g1", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("fault", ["undecodable", "NUL in the path"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, fault):
+        if fault == "undecodable":
+            cfg, cause = tmp_path / "run.cfg", "'utf-8' codec can't decode byte 0xff in position 19"
+            cfg.write_bytes(b"experiment=g1\nseed=\xff\n")
+        else:
+            cfg, cause = f"{tmp_path / 'a'}\0b", "embedded null byte"
+        out = tmp_path / "x"
+        assert main(["g1", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (f"error: invalid config: cannot read config file {cfg}: {cause}"
+                in capsys.readouterr().err)
+        assert [path.name for path in tmp_path.iterdir()] == (
+            ["run.cfg"] if fault == "undecodable" else [])
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nul_in_out_is_config_error(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
+        out = f"{tmp_path / 'a'}\0b"
+        if source == "flag":
+            argv = ["g1", "--out", out]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"out={out}\n")
+            argv = ["g1", "--config", str(cfg)]
+        assert main(argv) == 1
+        assert f"error: invalid config: --out {out!r} holds a NUL byte" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == (
+            [] if source == "flag" else ["run.cfg"])
+
     def test_second_name_for_n_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_electrons=1500\n")
@@ -286,6 +316,54 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run", explode)
         assert cli.main(["g1", "--out", str(tmp_path / "x")]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+# Faults in a RunConfig built in code: its experiment, fields and --out state,
+# and the flags that give main the same value (None where no flag can).
+RUN_CONFIG_FAULTS = [
+    pytest.param("g1", {"n_electrons": -3}, "absent", ["--n", "-3"], id="n=-3"),
+    pytest.param("g1", {"n_electrons": 0}, "absent", ["--n", "0"], id="n=0"),
+    pytest.param("g1", {"n_electrons": 2.5}, "absent", ["--n", "2.5"], id="n=2.5"),
+    pytest.param("g1", {"n_electrons": True}, "absent", ["--n", "True"], id="n=True"),
+    pytest.param("g1", {"seed": -1}, "absent", ["--seed", "-1"], id="seed=-1"),
+    pytest.param("g1", {"total_time": -1.0}, "absent", ["--total-time", "-1.0"],
+                 id="total_time=-1.0"),
+    # an int: the CLI always gives a float, and an int would be echoed as 2, not 2.0
+    pytest.param("shelving", {"total_time": 2}, "absent", None, id="total_time=int"),
+    pytest.param("g1", {"wavelength": float("nan")}, "absent", ["--wavelength", "nan"],
+                 id="wavelength=nan"),
+    pytest.param("g1", {"separation": 1e-2}, "absent", ["--separation", "1e-2"],
+                 id="separation=1e-2"),
+    pytest.param("g9", {}, "absent", [], id="experiment=g9"),
+    pytest.param("g1", {}, "non-empty", [], id="non-empty output_dir"),
+]
+
+
+@pytest.mark.parametrize("experiment, fields, out_state, flags", RUN_CONFIG_FAULTS)
+def test_run_config_built_in_code_is_checked_as_main_checks_it(
+        tmp_path, capsys, experiment, fields, out_state, flags):
+    out = tmp_path / "run"
+    if out_state == "non-empty":
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier results\n")
+    with pytest.raises(ConfigError) as raised:
+        cli.run(cli.RunConfig(experiment, out, **fields))
+    if flags is None:
+        assert str(raised.value) == "argument --total-time: invalid float value: '2'"
+    else:
+        assert main([experiment, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: {raised.value}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ([] if out_state == "absent" else ["run"])
+    assert [path.name for path in out.glob("*")] == ([] if out_state == "absent" else ["keep.txt"])
+
+
+def test_a_checked_run_config_stays_checked(tmp_path):
+    config = cli.RunConfig("g1", tmp_path / "run")
+    with pytest.raises(ConfigError, match="--n must be at least 1"):
+        dataclasses.replace(config, n_electrons=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.n_electrons = 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_args_applies_defaults():
@@ -456,16 +534,14 @@ def test_io_failure_inside_photons_csv_leaves_no_output(tmp_path, monkeypatch, c
     assert staging_dirs(out) == []
 
 
-def test_a_run_is_one_process(tmp_path):
+def test_a_run_is_one_process(tmp_path, subprocess_env):
     # Some 166 000 photons in 5 s: photons.csv spans several blocks.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, slitlab.cli as cli\n"
         f"assert cli.main(['shelving', '--total-time', '5', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
         "print('multiprocessing' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
     photons = (tmp_path / "run" / "photons.csv").read_bytes()
@@ -587,27 +663,54 @@ def cli_calls(draw):
     return argv, draw(st.sampled_from(["absent", "empty", "non-empty"]))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(call=cli_calls())
+@st.composite
+def config_file_calls(draw):
+    """A cli_calls() call with some of its values moved to config-file lines,
+    and maybe a fault in the file: a byte that is not UTF-8, or an out= that
+    holds a NUL, given in place of the --out flag."""
+    argv, out_state = draw(cli_calls())
+    flags, lines = [], []
+    for item in [argv[:1], *(argv[i:i + 2] for i in range(1, len(argv), 2))]:
+        if draw(st.booleans()):
+            key = item[0][2:].replace("-", "_") if len(item) == 2 else "experiment"
+            lines.append(f"{key}={item[-1]}")
+        else:
+            flags += item
+    fault = draw(st.sampled_from([None, None, "undecodable", "NUL in out"]))
+    return argv[0], flags, lines, fault, out_state
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(call=config_file_calls())
 def test_main_exits_with_a_code_and_a_complete_output_or_none(call):
-    argv, out_state = call
+    experiment, argv, lines, fault, out_state = call
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         if out_state != "absent":
             out.mkdir()
         if out_state == "non-empty":
             (out / "keep.txt").write_text("earlier results\n")
-        code = main(argv + ["--out", str(out)])
+        if fault == "NUL in out":
+            lines = [*lines, f"out={out}\0b"]
+        else:
+            argv = [*argv, "--out", str(out)]
+        if lines or fault:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_bytes("".join(line + "\n" for line in lines).encode()
+                            + (b"# \xff\n" if fault == "undecodable" else b""))
+            argv += ["--config", str(cfg)]
+        code = main(argv)
         assert code in (0, 1)  # 2 and 3 need a fault in the numerics or the disk
         assert staging_dirs(out) == []
         if code == 0:
             assert out_state != "non-empty"
-            assert sorted(path.name for path in out.iterdir()) == artifact_names(argv[0])
+            assert sorted(path.name for path in out.iterdir()) == artifact_names(experiment)
         elif out_state == "absent":
             assert not out.exists()
         else:
             names = [path.name for path in out.iterdir()]
             assert names == ([] if out_state == "empty" else ["keep.txt"])
+        assert {path.name for path in Path(tmp).iterdir()} <= {"run", "run.cfg"}
 
 
 def reject_constant(name):

@@ -5,20 +5,15 @@ checkout's ``src`` first on its path.
 """
 
 import hashlib
-import os
 import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 import slitlab.cli as cli
 from slitlab.cli import main
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 # Prints, from an exit hook registered before anything else, the freeze count
 # and whether SIGTERM has its default handler.  Exit hooks run last-in
@@ -30,9 +25,12 @@ OBSERVER = (
 )
 
 
-def python(*args, **kwargs):
-    return subprocess.run([sys.executable, *args], env=ENV, capture_output=True, text=True,
-                          timeout=120, **kwargs)
+@pytest.fixture
+def python(subprocess_env):
+    def run(*args, **kwargs):
+        return subprocess.run([sys.executable, *args], env=subprocess_env, capture_output=True,
+                              text=True, timeout=120, **kwargs)
+    return run
 
 
 def digests(out):
@@ -40,13 +38,13 @@ def digests(out):
             for name in ("density.csv", "samples.csv", "summary.json")}
 
 
-def test_import_alone_changes_nothing():
+def test_import_alone_changes_nothing(python):
     proc = python("-c", OBSERVER + "import slitlab.cli\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "True"]
 
 
-def test_orjson_is_imported_by_the_first_csv_block_only():
+def test_orjson_is_imported_by_the_first_csv_block_only(python):
     code = ("import sys, numpy, slitlab.cli as cli\n"
             "print('orjson' in sys.modules)\n"
             "cli._format_block([numpy.array([0.5])])\n"
@@ -56,7 +54,7 @@ def test_orjson_is_imported_by_the_first_csv_block_only():
     assert proc.stdout.split() == ["False", "True"]
 
 
-def test_main_freezes_the_heap_at_exit_once_and_restores_sigterm(tmp_path):
+def test_main_freezes_the_heap_at_exit_once_and_restores_sigterm(tmp_path, python):
     code = OBSERVER + (
         "registered = []\n"
         "atexit_register = atexit.register\n"
@@ -82,7 +80,7 @@ def test_main_freezes_the_heap_at_exit_once_and_restores_sigterm(tmp_path):
     assert int(freeze_count) > 0  # seen by a hook registered before main
 
 
-def test_module_run_writes_what_main_writes(tmp_path):
+def test_module_run_writes_what_main_writes(tmp_path, python):
     proc = python("-m", "slitlab", "g1", "--n", "20000", "--seed", "7",
                   "--out", str(tmp_path / "module"))
     assert proc.returncode == 0, proc.stderr
@@ -92,7 +90,7 @@ def test_module_run_writes_what_main_writes(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["config", "io"])
-def test_module_run_errors_keep_their_status_and_one_line(tmp_path, case):
+def test_module_run_errors_keep_their_status_and_one_line(tmp_path, case, python):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
     if case == "config":
@@ -107,12 +105,13 @@ def test_module_run_errors_keep_their_status_and_one_line(tmp_path, case):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker"]
 
 
-def test_sigterm_removes_the_staging_directory(tmp_path):
+def test_sigterm_removes_the_staging_directory(tmp_path, subprocess_env):
     # 10 million electrons would take seconds and 200 MB; the signal comes
     # once samples.csv is open, a few blocks in at most.
     out = tmp_path / "run"
     proc = subprocess.Popen([sys.executable, "-m", "slitlab", "g1", "--n", "10000000",
-                             "--out", str(out)], env=ENV, stderr=subprocess.PIPE, text=True)
+                             "--out", str(out)], env=subprocess_env, stderr=subprocess.PIPE,
+                            text=True)
     try:
         deadline = time.monotonic() + 60
         while not list(tmp_path.glob(".run.*/samples.csv")):

@@ -6,10 +6,8 @@ uniformity under the true model.
 """
 
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,16 +548,14 @@ def assert_ks_matches_scipy_stats(durations, rate):
 NOT_LOADED_BY_IMPORT = ("scipy.stats", "multiprocessing", "concurrent.futures.process")
 
 
-def test_importing_slitlab_loads_no_scipy_stats():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+def test_importing_slitlab_loads_no_scipy_stats(subprocess_env):
     code = (
         "import sys, slitlab.cli, slitlab\n"
         f"print(sorted(m for m in sys.modules if m.startswith({NOT_LOADED_BY_IMPORT!r})))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=subprocess_env, capture_output=True, text=True,
+        check=True
     ).stdout
     assert out.strip() == "[]", f"importing slitlab loaded {out.strip()}"
 
