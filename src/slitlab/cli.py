@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import dataclasses
+import errno
 import functools
 import gc
 import itertools
@@ -89,13 +90,32 @@ def _non_negative(value: int) -> str | None:
     return None if value >= 0 else f"must be non-negative, got {value}"
 
 
+def _parse_int(token: str) -> int:
+    """An int from its text, or from a float's text that is a whole number
+    exactly (1e6, 1000000.0); any other text is a ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        value = float(token)
+        from decimal import Decimal  # here, not at module level: only float spellings need it
+        if not value.is_integer() or Decimal(token) != value:  # a float reads 1e16+1 as 1e16
+            raise
+        return int(value)
+
+
+_parse_int.__name__ = "int"  # argparse names the type so: "invalid int value"
+
+
 def _param(default, flag: str, check: Callable[..., str | None], help: str):
     """A run parameter: a RunConfig field set by ``flag`` or by its config key.
 
-    Its type is its default's.  ``check`` returns what is wrong with a
-    value, or None when the value is acceptable.
+    Its type is its default's, and its text is read by that type (by
+    _parse_int for an int).  ``check`` returns what is wrong with a value,
+    or None when the value is acceptable.
     """
-    metadata = {"flag": flag, "type": type(default), "check": check, "help": help}
+    kind = type(default)
+    metadata = {"flag": flag, "type": kind, "parse": _parse_int if kind is int else kind,
+                "check": check, "help": help}
     return dataclasses.field(default=default, metadata=metadata)
 
 
@@ -128,11 +148,29 @@ class RunConfig:
         out = self.output_dir
         if out is None:
             raise ConfigError("no output directory given (--out or config file)")
+        if not isinstance(out, Path):
+            raise ConfigError(f"argument --out: invalid Path value: '{out}'")
         if out.name in ("", ".."):
             raise ConfigError(f"--out {out} does not end in a directory name")
         if "\0" in str(out):
             raise ConfigError(f"--out {str(out)!r} holds a NUL byte")
-        if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
+        try:
+            # A lookup finds a name too long only under an existing parent,
+            # so each name is measured against the file system of out's
+            # nearest existing ancestor.
+            anchor = next(path for path in out.parents if path.exists())
+            name_max = os.pathconf(anchor, "PC_NAME_MAX")
+            longest = max(len(os.fsencode(part)) for part in out.parts)
+            if longest > name_max:
+                raise ConfigError(f"--out has a name of {longest} bytes, "
+                                  f"more than the {name_max} that the file system holds")
+            occupied = out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None)
+        except OSError as exc:
+            if exc.errno != errno.ENAMETOOLONG:
+                raise
+            raise ConfigError(f"--out is a path of {len(os.fsencode(out))} bytes: "
+                              f"{exc.strerror}") from exc
+        if occupied:
             raise ConfigError(f"--out {out} exists and is not an empty directory")
         for param in _PARAMS.values():
             flag, kind = param.metadata["flag"], param.metadata["type"]
@@ -186,7 +224,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="key=value config file; flags win on conflict")
     for param in _PARAMS.values():
-        parser.add_argument(param.metadata["flag"], type=param.metadata["type"], dest=param.name,
+        parser.add_argument(param.metadata["flag"], type=param.metadata["parse"], dest=param.name,
                             help=param.metadata["help"])
     return parser
 
@@ -217,16 +255,16 @@ def _is_float(token: str) -> bool:
 
 
 def _attach_float_values(argv: list[str]) -> list[str]:
-    """Join each float flag and a following value that starts with "-".
+    """Join each parameter flag and a following value that starts with "-"
+    and reads as a float.
 
-    argparse reads a token such as -1e-3 or -inf as an option, not as the
-    flag's value; joined as ``--flag=value`` it reaches the checks below.
+    argparse reads a token such as -1e-3, -1e6 or -inf as an option, not as
+    the flag's value; joined as ``--flag=value`` it reaches the checks below.
     """
-    float_flags = {param.metadata["flag"] for param in _PARAMS.values()
-                   if param.metadata["type"] is float}
+    flags = {param.metadata["flag"] for param in _PARAMS.values()}
     joined: list[str] = []
     for token in argv:
-        if (joined and joined[-1] in float_flags
+        if (joined and joined[-1] in flags
                 and token.startswith("-") and _is_float(token)):
             joined[-1] += "=" + token
         else:
@@ -238,7 +276,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     """A run's values, flags over config file over defaults; RunConfig checks them."""
     ns = _build_parser().parse_args(_attach_float_values(argv))
     file_types = {"experiment": str, "out": str}
-    file_types.update((key, param.metadata["type"]) for key, param in _PARAMS.items())
+    file_types.update((key, param.metadata["parse"]) for key, param in _PARAMS.items())
     file_values: dict[str, object] = {}
     if ns.config:
         for key, raw in _read_config_file(ns.config).items():
@@ -264,20 +302,6 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-@dataclass(frozen=True)
-class _Labels:
-    """A CSV column of text labels, stored as indices into ``names``."""
-
-    names: tuple[str, ...]
-    codes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, rows: slice) -> _Labels:
-        return _Labels(self.names, self.codes[rows])
 
 
 # _write_labelled writes a block's text this many bytes at a time, so that
@@ -335,9 +359,9 @@ def _format_block(columns: list) -> bytes:
     return "".join([line + "\n" for line in lines]).encode()
 
 
-def _write_labelled(fh, text: bytearray, labels: _Labels) -> None:
-    """Write the CSV lines ``text`` with ``,name`` of each row's label put
-    before its newline.
+def _write_labelled(fh, text: bytearray, names: tuple[str, ...], codes: np.ndarray) -> None:
+    """Write the CSV lines ``text`` with ``,names[code]`` of each row's code
+    put before its newline.
 
     Each row's newline becomes its label's code, a byte below 10 (the
     newline's own), so there are at most 10 names, and no byte of the lines
@@ -347,9 +371,9 @@ def _write_labelled(fh, text: bytearray, labels: _Labels) -> None:
     end anywhere in a row.
     """
     marks = np.frombuffer(text, np.uint8)
-    marks[marks == ord("\n")] = labels.codes
-    present = [(bytes([code]), f",{labels.names[code]}\n".encode())
-               for code in np.flatnonzero(np.bincount(labels.codes))]
+    marks[marks == ord("\n")] = codes
+    present = [(bytes([code]), f",{names[code]}\n".encode())
+               for code in np.flatnonzero(np.bincount(codes))]
     for start in range(0, len(text), _LABEL_PIECE_BYTES):
         piece = text[start:start + _LABEL_PIECE_BYTES]
         for code, row_end in present:
@@ -357,36 +381,39 @@ def _write_labelled(fh, text: bytearray, labels: _Labels) -> None:
         fh.write(piece)
 
 
-def _write_chunk(fh, columns: list) -> int:
+def _write_chunk(fh, label_names: tuple[str, ...], columns: list) -> int:
     """Write one chunk of equal-length columns, measurement.CSV_BLOCK_ROWS
-    rows at a time; return its row count.  A _Labels column may only come
-    last, after another: its names go after the lines of the columns before it."""
+    rows at a time; return its row count.  Given ``label_names``, the last
+    column holds each row's code into them, and must follow another: the
+    names go after the lines of the columns before it."""
     n_rows = len(columns[0])
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"{Path(fh.name).name}: columns differ in length")
     block = measurement.CSV_BLOCK_ROWS
     for start in range(0, n_rows, block):
         rows = [column[start:start + block] for column in columns]
-        if isinstance(rows[-1], _Labels):
-            _write_labelled(fh, bytearray(_format_block(rows[:-1])), rows[-1])
+        if label_names:
+            _write_labelled(fh, bytearray(_format_block(rows[:-1])), label_names, rows[-1])
         else:
             fh.write(_format_block(rows))
     return n_rows
 
 
-def _write_csv(path: Path, header: list[str], chunks: Iterable[list]) -> int:
+def _write_csv(path: Path, header: list[str], chunks: Iterable[list],
+               label_names: tuple[str, ...] = ()) -> int:
     """Write a table under a header and return its row count.
 
     The rows arrive as consecutive chunks, each a list of equal-length
     columns: a table held in memory is one chunk, a stream is read a chunk
-    at a time.  Each block of measurement.CSV_BLOCK_ROWS rows is formatted
-    and written in turn, so the bytes written do not depend on where the
-    chunks end.
+    at a time.  A labelled table (``label_names`` given) ends in a column
+    of integer codes, each written as ``label_names[code]``.  Each block
+    of measurement.CSV_BLOCK_ROWS rows is formatted and written in turn,
+    so the bytes written do not depend on where the chunks end.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         # map binds no chunk, so none is held while the next one is drawn.
-        return sum(map(functools.partial(_write_chunk, fh), chunks))
+        return sum(map(functools.partial(_write_chunk, fh, label_names), chunks))
 
 
 def _write_summary(path: Path, summary: dict) -> None:
@@ -426,19 +453,19 @@ def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
     chi2 = stats.WindowedChi2(density, len(OUTCOME_ORDER))
     fringes = stats.FringeVisibility(geom)
     outcome_counts = np.zeros(len(OUTCOME_ORDER), dtype=np.int64)
-    names = tuple(tag.value for tag in OUTCOME_ORDER)
+    label_names = tuple(tag.value for tag in OUTCOME_ORDER) if informative else ()
 
     def measured(block: tuple[np.ndarray, np.ndarray]) -> list:
         outcome_index, positions = block
         chi2.feed(positions, outcome_index)
         fringes.feed(positions)
         outcome_counts[:] += np.bincount(outcome_index, minlength=len(OUTCOME_ORDER))
-        return [positions, _Labels(names, outcome_index)] if informative else [positions]
+        return [positions, outcome_index] if informative else [positions]
 
     rng = np.random.default_rng(config.seed)
     blocks = measurement.arrival_blocks(illumination, geom, config.n_electrons, rng)
     _write_csv(out / "samples.csv", ["x_m", "outcome"] if informative else ["x_m"],
-               map(measured, blocks))
+               map(measured, blocks), label_names)
 
     fit, n_bins = chi2.finish()
     summary = {
@@ -566,7 +593,10 @@ def run(config: RunConfig) -> None:
     staging = None
     try:
         _make_missing_dirs(out.parent, made)
-        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+        # mkdtemp adds 8 characters to the prefix ".name."; the name is cut
+        # so that the staging name fits wherever the name itself does.
+        stem = os.fsencode(out.name)[:os.pathconf(out.parent, "PC_NAME_MAX") - 10]
+        staging = Path(tempfile.mkdtemp(prefix=f".{os.fsdecode(stem)}.", dir=out.parent))
         with np.errstate(invalid="raise", divide="raise", over="raise"):
             summary, echo = runner(config, staging)
         echo.update(experiment=config.experiment, seed=config.seed, out=str(out))

@@ -171,6 +171,30 @@ def test_flag_and_config_key_set_the_same_parameter(tmp_path, flag, key, field, 
     assert getattr(from_flag, field) != getattr(parse_args(["g1", "--out", "x"]), field)
 
 
+@pytest.mark.parametrize("flag, key, field", [("--n", "n", "n_electrons"), ("--seed", "seed", "seed")])
+@pytest.mark.parametrize("value, expected", [("1e6", 10**6), ("1000000.0", 10**6), ("12e1", 120)])
+def test_int_parameter_takes_a_whole_float_spelling(tmp_path, flag, key, field, value, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    from_flag = parse_args(["g1", "--out", "x", flag, value])
+    assert getattr(from_flag, field) == expected and type(getattr(from_flag, field)) is int
+    assert parse_args(["g1", "--out", "x", "--config", str(cfg)]) == from_flag
+
+
+@pytest.mark.parametrize("flag, key", [("--n", "n"), ("--seed", "seed")])
+@pytest.mark.parametrize("value", ["2.5", "1e400", "nan", "-inf", "10000000000000001.0"])
+def test_int_parameter_rejects_other_float_spellings(tmp_path, capsys, flag, key, value):
+    # The last is a whole number that a float would round to 1e16.
+    out = tmp_path / "x"
+    assert main(["g1", "--out", str(out), flag, value]) == 1
+    assert f"argument {flag}: invalid int value: '{value}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert main(["g1", "--out", str(out), "--config", str(cfg)]) == 1
+    assert f"bad value for '{key}': '{value}'" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_help_lists_each_experiment_on_its_own_line(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -363,6 +387,13 @@ def test_a_checked_run_config_stays_checked(tmp_path):
         dataclasses.replace(config, n_electrons=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.n_electrons = 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_config_output_dir_must_be_a_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="argument --out: invalid Path value: 'out'"):
+        cli.RunConfig("g1", "out")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -617,6 +648,33 @@ class TestOutputDirectory:
         assert main(["g1", "--n", "100", "--out", name]) == 1
         assert f"--out {name} does not end in a directory name" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "empty"]
+
+    @pytest.mark.parametrize("short_by", [5, 0])
+    def test_name_that_fits_runs(self, tmp_path, short_by):
+        # The staging name, ".name." and 8 characters, would not fit uncut.
+        out = tmp_path / "parent" / ("r" * (os.pathconf(tmp_path, "PC_NAME_MAX") - short_by))
+        assert main(["g1", "--n", "100", "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == artifact_names("g1")
+        assert [path.name for path in out.parent.iterdir()] == [out.name]
+
+    @pytest.mark.parametrize("n_bytes", [256, 5000])
+    def test_name_too_long_is_rejected(self, tmp_path, capsys, monkeypatch, n_bytes):
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
+        out = tmp_path / "parent" / ("r" * n_bytes)
+        assert main(["g1", "--n", "100", "--out", str(out)]) == 1
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        assert (f"error: invalid config: --out has a name of {n_bytes} bytes, more than the "
+                f"{name_max} that the file system holds" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_path_too_long_is_rejected(self, tmp_path, capsys, monkeypatch):
+        # Every name fits, but the path is longer than the system's 4096 bytes.
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
+        out = tmp_path.joinpath(*["d" * 200] * 21)
+        assert main(["g1", "--n", "100", "--out", str(out)]) == 1
+        assert (f"error: invalid config: --out is a path of {len(str(out))} bytes: "
+                "File name too long" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
 
 BAD_VALUES = {
@@ -875,7 +933,7 @@ def reference_fmt(value) -> str:
     return str(value)
 
 
-def reference_write_csv(path, header, chunks) -> int:
+def reference_write_csv(path, header, chunks, label_names=()) -> int:
     """The per-cell writer that the column-wise one replaced, kept as its reference.
 
     It reads every row of every chunk before writing any, and returns the
@@ -883,8 +941,8 @@ def reference_write_csv(path, header, chunks) -> int:
     """
     lines = [",".join(header)]
     for columns in chunks:
-        columns = [[column.names[i] for i in column.codes] if isinstance(column, cli._Labels)
-                   else column for column in columns]
+        if label_names:
+            columns = [*columns[:-1], [label_names[code] for code in columns[-1]]]
         for row in zip(*columns):
             lines.append(",".join(reference_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", newline="")
@@ -914,11 +972,11 @@ def test_artifacts_match_the_per_cell_writer(tmp_path, monkeypatch, argv):
         assert new == (tmp_path / "reference" / "run" / name).read_bytes(), name
 
 
-def assert_writers_agree(tmp_path, header, columns):
+def assert_writers_agree(tmp_path, header, columns, label_names=()):
     """_write_csv writes the reference's bytes; return them."""
-    reference_write_csv(tmp_path / "reference.csv", header, [columns])
+    reference_write_csv(tmp_path / "reference.csv", header, [columns], label_names)
     reference = (tmp_path / "reference.csv").read_bytes()
-    cli._write_csv(tmp_path / "new.csv", header, [columns])
+    cli._write_csv(tmp_path / "new.csv", header, [columns], label_names)
     assert (tmp_path / "new.csv").read_bytes() == reference
     return reference
 
@@ -931,8 +989,9 @@ def test_writer_matches_reference_at_block_edges(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
     codes = rng.integers(0, 3, n_rows)
-    columns = [floats, codes, codes == 1, cli._Labels(("seen_at_a", "seen_at_b", "not_seen"), codes)]
-    text = assert_writers_agree(tmp_path, ["x", "code", "flag", "outcome"], columns)
+    columns = [floats, codes, codes == 1, codes]
+    text = assert_writers_agree(tmp_path, ["x", "code", "flag", "outcome"], columns,
+                                ("seen_at_a", "seen_at_b", "not_seen"))
     assert text.count(b"\n") == n_rows + 1
     single = assert_writers_agree(tmp_path, ["x"], [floats])
     if n_rows == 0:
@@ -946,8 +1005,9 @@ def test_writer_matches_reference_on_edge_cells(tmp_path):
     bools = [True, False] * (n // 2)
     labels = ["bright", "dark"] * (n // 2)
     columns = [np.array(floats), floats, np.array(ints), ints, np.array(bools), bools,
-               labels, cli._Labels(("bright", "dark"), np.arange(n) % 2)]
-    text = assert_writers_agree(tmp_path, [f"c{i}" for i in range(len(columns))], columns)
+               labels, np.arange(n) % 2]
+    text = assert_writers_agree(tmp_path, [f"c{i}" for i in range(len(columns))], columns,
+                                ("bright", "dark"))
     rows = text.decode().splitlines()
     assert rows[1] == "-0.0,-0.0,-3,-3,true,true,bright,bright"
     assert rows[4].split(",")[:2] == ["5e-324", "5e-324"]
@@ -990,7 +1050,7 @@ def test_float_and_label_rows_are_repr_text(rows):
     codes = np.array([OUTCOMES.index(label) for label in labels])
     fh = io.BytesIO()
     text = bytearray(cli._format_block([np.array(xs)]))
-    cli._write_labelled(fh, text, cli._Labels(OUTCOMES, codes))
+    cli._write_labelled(fh, text, OUTCOMES, codes)
     assert fh.getvalue() == "".join(f"{x!r},{label}\n" for x, label in rows).encode()
 
 
@@ -1002,12 +1062,11 @@ def test_labelled_block_holds_its_text_once(tmp_path, illumination):
     # text and the output.
     index, positions = next(measurement.arrival_blocks(
         illumination, default_geometry(), measurement.CSV_BLOCK_ROWS, np.random.default_rng(1)))
-    labels = cli._Labels(OUTCOMES, index)
     float_text = cli._format_block([positions])
     with open(tmp_path / "samples.csv", "wb") as fh:
         tracemalloc.start()
         try:
-            cli._write_labelled(fh, bytearray(cli._format_block([positions])), labels)
+            cli._write_labelled(fh, bytearray(cli._format_block([positions])), OUTCOMES, index)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1023,19 +1082,18 @@ def test_label_pieces_may_end_anywhere(tmp_path, monkeypatch, piece_bytes):
     monkeypatch.setattr(cli, "_LABEL_PIECE_BYTES", piece_bytes)
     n_rows = BLOCK + BLOCK // 2
     rng = np.random.default_rng(piece_bytes)
-    columns = [rng.standard_normal(n_rows), cli._Labels(OUTCOMES, rng.integers(0, 3, n_rows))]
-    assert_writers_agree(tmp_path, ["x_m", "outcome"], columns)
+    columns = [rng.standard_normal(n_rows), rng.integers(0, 3, n_rows)]
+    assert_writers_agree(tmp_path, ["x_m", "outcome"], columns, OUTCOMES)
 
 
 def test_chunk_edges_do_not_change_the_bytes(tmp_path):
     n_rows = measurement.CSV_BLOCK_ROWS + 10
     rng = np.random.default_rng(3)
     floats = rng.standard_normal(n_rows)
-    labels = cli._Labels(("bright", "dark"), rng.integers(0, 2, n_rows))
-    whole = assert_writers_agree(tmp_path, ["t", "state"], [floats, labels])
+    codes = rng.integers(0, 2, n_rows)
+    whole = assert_writers_agree(tmp_path, ["t", "state"], [floats, codes], ("bright", "dark"))
     # an empty first chunk, an empty chunk in the middle, one longer than a block, an empty tail
     cuts = [0, 0, 5, 5, measurement.CSV_BLOCK_ROWS + 7, n_rows, n_rows]
-    chunks = [[floats[a:b], cli._Labels(labels.names, labels.codes[a:b])]
-              for a, b in zip(cuts, cuts[1:])]
-    cli._write_csv(tmp_path / "chunked.csv", ["t", "state"], iter(chunks))
+    chunks = [[floats[a:b], codes[a:b]] for a, b in zip(cuts, cuts[1:])]
+    cli._write_csv(tmp_path / "chunked.csv", ["t", "state"], iter(chunks), ("bright", "dark"))
     assert (tmp_path / "chunked.csv").read_bytes() == whole

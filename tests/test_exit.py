@@ -54,6 +54,17 @@ def test_orjson_is_imported_by_the_first_csv_block_only(python):
     assert proc.stdout.split() == ["False", "True"]
 
 
+def test_a_run_never_imports_multiprocessing(tmp_path, python):
+    code = ("import sys, slitlab.cli as cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert cli.main(['g2', '--n', '20000', '--out', out + '/a']) == 0\n"
+            "assert cli.main(['shelving', '--total-time', '1', '--out', out + '/b']) == 0\n"
+            "print('multiprocessing' in sys.modules)\n")
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_main_freezes_the_heap_at_exit_once_and_restores_sigterm(tmp_path, python):
     code = OBSERVER + (
         "registered = []\n"
