@@ -165,6 +165,13 @@ class RunConfig:
                 raise ConfigError(f"--out has a name of {longest} bytes, "
                                   f"more than the {name_max} that the file system holds")
             occupied = out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None)
+            # The longest path a run writes: its config echo in the staging directory.
+            deepest = len(os.fsencode(os.path.join(os.path.abspath(out.parent), _staging_prefix(
+                out.name, name_max) + "X" * 8, "config_resolved.txt")))
+            path_max = os.pathconf(anchor, "PC_PATH_MAX")
+            if deepest >= path_max:
+                raise ConfigError(f"--out is too long to stage: a run writes a path of {deepest} "
+                                  f"bytes, more than the {path_max - 1} that the system holds")
         except OSError as exc:
             if exc.errno != errno.ENAMETOOLONG:
                 raise
@@ -180,6 +187,10 @@ class RunConfig:
             problem = param.metadata["check"](value)
             if problem is not None:
                 raise ConfigError(f"{flag} {problem}")
+        spacing = 1 / shelving.default_rates().fluorescence_rate  # between photons, on average
+        if self.experiment == "shelving" and math.ulp(self.total_time) >= spacing:
+            raise ConfigError(f"--total-time {self.total_time!r} is too long for float64 to keep "
+                              f"photon times {spacing!r} s apart at the record's end")
         if self.experiment in TWO_HOLE_EXPERIMENTS:
             try:
                 self.geometry()
@@ -563,6 +574,12 @@ def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
     return summary, echo
 
 
+def _staging_prefix(name: str, name_max: int) -> str:
+    """mkdtemp's prefix ".name." for a staging directory beside ``name``, cut
+    so that the staging name, 8 characters longer, fits where the name does."""
+    return f".{os.fsdecode(os.fsencode(name)[:name_max - 10])}."
+
+
 def _make_missing_dirs(directory: Path, made: list[Path]) -> None:
     """Create ``directory`` and its missing parents, adding each one this
     call creates to the front of ``made``, so that it lists them deepest first."""
@@ -593,10 +610,8 @@ def run(config: RunConfig) -> None:
     staging = None
     try:
         _make_missing_dirs(out.parent, made)
-        # mkdtemp adds 8 characters to the prefix ".name."; the name is cut
-        # so that the staging name fits wherever the name itself does.
-        stem = os.fsencode(out.name)[:os.pathconf(out.parent, "PC_NAME_MAX") - 10]
-        staging = Path(tempfile.mkdtemp(prefix=f".{os.fsdecode(stem)}.", dir=out.parent))
+        prefix = _staging_prefix(out.name, os.pathconf(out.parent, "PC_NAME_MAX"))
+        staging = Path(tempfile.mkdtemp(prefix=prefix, dir=out.parent))
         with np.errstate(invalid="raise", divide="raise", over="raise"):
             summary, echo = runner(config, staging)
         echo.update(experiment=config.experiment, seed=config.seed, out=str(out))

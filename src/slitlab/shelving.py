@@ -342,41 +342,28 @@ def score_detections(
     the record boundary has no reference photon and is excluded from the
     latency maximum.
     """
-    true_dark = [
-        (start, end) for state, start, end in traj.absolute_intervals() if state is IonState.DARK
-    ]
-    matched_true = [False] * len(true_dark)
-    n_false = 0
-    latencies = []
-    j = 0
-    for start, end in sorted(inferred):
-        silence_start = max(start - dark_threshold, 0.0)
-        hit = False
-        while j < len(true_dark) and true_dark[j][1] <= silence_start:
-            j += 1
-        k = j
-        first_overlap = None
-        while k < len(true_dark) and true_dark[k][0] < end:
-            if true_dark[k][1] > silence_start:
-                matched_true[k] = True
-                hit = True
-                if first_overlap is None:
-                    first_overlap = true_dark[k][0]
-            k += 1
-        if not hit:
-            n_false += 1
-        elif start > 0.0:
-            latencies.append(abs(start - first_overlap))
-    eligible = [
-        m for (s, e), m in zip(true_dark, matched_true) if e - s >= 2 * dark_threshold
-    ]
-    recall = sum(eligible) / len(eligible) if eligible else 1.0
-    fdr = n_false / len(inferred) if inferred else 0.0
+    dark = np.array([(start, end) for state, start, end in traj.absolute_intervals()
+                     if state is IonState.DARK]).reshape(-1, 2)
+    starts, ends = np.array(inferred, dtype=float).reshape(-1, 2).T
+    # Each detection is credited with the dwells from the first that ends
+    # after its silence began up to the first that starts at or after its end.
+    first = np.searchsorted(dark[:, 1], np.maximum(starts - dark_threshold, 0.0), side="right")
+    stop = np.searchsorted(dark[:, 0], ends, side="left")
+    hit = first < stop
+    # +1 where a credited run of dwells begins, -1 past its end.
+    runs = np.bincount(first[hit], minlength=len(dark) + 1) - np.bincount(
+        stop[hit], minlength=len(dark) + 1)
+    matched = np.cumsum(runs)[:-1] > 0
+    eligible = dark[:, 1] - dark[:, 0] >= 2 * dark_threshold
+    timed = hit & (starts > 0.0)
+    latencies = np.abs(starts[timed] - dark[first[timed], 0])
+    n_eligible = int(np.count_nonzero(eligible))
+    n_false = int(np.count_nonzero(~hit))
     return DetectionScore(
-        recall=recall,
-        false_discovery_rate=fdr,
-        max_start_latency=max(latencies) if latencies else 0.0,
-        n_true_eligible=len(eligible),
+        recall=int(np.count_nonzero(matched & eligible)) / n_eligible if n_eligible else 1.0,
+        false_discovery_rate=n_false / len(inferred) if inferred else 0.0,
+        max_start_latency=float(latencies.max()) if latencies.size else 0.0,
+        n_true_eligible=n_eligible,
         n_inferred=len(inferred),
         n_false=n_false,
     )

@@ -25,6 +25,7 @@ __all__ = [
     "Histogram",
     "KsResult",
     "PositionSample",
+    "SparseTableError",
     "WindowedChi2",
     "chi_square_gof",
     "filter_positions",
@@ -56,7 +57,7 @@ class GriddedCdf:
     continuous and strictly tractable in both directions; the implied
     sampling density is piecewise constant over grid cells.  ``cumulative``
     holds the node values of one density, or a row of them for each of
-    several; ``cdf`` and ``interval_masses`` take one density.
+    several; ``cdf`` takes one density.
     """
 
     def __init__(self, *densities: RealDensity):
@@ -152,9 +153,6 @@ class GriddedCdf:
         slopes = np.pad(slopes, ((0, 0), (0, 1))).ravel()
         return inverse_width, guide, slopes, np.tile(self.x, n_rows), top
 
-    def interval_masses(self, edges: np.ndarray) -> np.ndarray:
-        return np.diff(self.cdf(edges))
-
 
 @dataclass(frozen=True, eq=False)
 class PositionSample:
@@ -246,15 +244,16 @@ def _merge_edges_inward(observed: np.ndarray, expected: np.ndarray):
     """Pool leading/trailing bins until the outermost expected counts reach 5."""
     obs = list(observed.astype(float))
     exp = list(expected.astype(float))
-    while len(exp) > 1 and exp[0] < MIN_EXPECTED_PER_BIN:
-        exp[1] += exp[0]
-        obs[1] += obs[0]
-        del exp[0], obs[0]
-    while len(exp) > 1 and exp[-1] < MIN_EXPECTED_PER_BIN:
-        exp[-2] += exp[-1]
-        obs[-2] += obs[-1]
-        del exp[-1], obs[-1]
+    for edge, inner in ((0, 1), (-1, -2)):
+        while len(exp) > 1 and exp[edge] < MIN_EXPECTED_PER_BIN:
+            exp[inner] += exp[edge]
+            obs[inner] += obs[edge]
+            del exp[edge], obs[edge]
     return np.array(obs), np.array(exp)
+
+
+class SparseTableError(ValueError):
+    """A chi-square table that pooling leaves without a valid test."""
 
 
 def chi_square_gof(h: Histogram, expected: RealDensity) -> ChiSquareResult:
@@ -265,24 +264,23 @@ def chi_square_gof(h: Histogram, expected: RealDensity) -> ChiSquareResult:
     the histogram range; low-expectation bins are pooled inward from the
     edges, and any interior bin still under 5 expected counts is an error
     rather than a silently miscalibrated test, as is a table pooled down to
-    a single bin.
+    a single bin; both raise ``SparseTableError``.
     """
-    cdf = GriddedCdf(expected)
-    lo, hi = h.bin_edges[0], h.bin_edges[-1]
-    coverage = float(cdf.cdf(hi) - cdf.cdf(lo))
+    cumulative = GriddedCdf(expected).cdf(h.bin_edges)
+    coverage = float(cumulative[-1] - cumulative[0])
     if abs(coverage - 1.0) > 1e-6:
         raise ValueError(
             f"expected density is not normalized over the histogram range (mass {coverage!r})"
         )
-    expected_counts = cdf.interval_masses(h.bin_edges) * h.n_total
+    expected_counts = np.diff(cumulative) * h.n_total
     observed, expected_counts = _merge_edges_inward(h.counts, expected_counts)
     if observed.size < 2:
-        raise ValueError(
+        raise SparseTableError(
             "fewer than two bins remain after pooling, so the test has no degrees of freedom; "
             "use narrower bins or a larger sample"
         )
     if np.any(expected_counts < MIN_EXPECTED_PER_BIN):
-        raise ValueError(
+        raise SparseTableError(
             "expected counts below 5 remain away from the edges; "
             "use wider bins, a larger sample, or a narrower window"
         )
@@ -325,22 +323,21 @@ class WindowedChi2:
         self, density: RealDensity | None = None, group: int | None = None
     ) -> tuple[ChiSquareResult | None, int | None]:
         """Fit of one group's arrivals, or of all, against ``density`` (by
-        default the accumulator's) at the finest bin count that, after edge
-        pooling, leaves two or more bins each expecting >= 5 counts, or
-        ``(None, None)`` when none does (too few arrivals in the window)."""
+        default the accumulator's) at the finest bin count that
+        ``chi_square_gof`` accepts, or ``(None, None)`` when it accepts none
+        (too few arrivals in the window)."""
         windowed = (density or self.density).restrict(-self._half, self._half)
         if (windowed.x[0], windowed.x[-1]) != (self.lo, self.hi):
             raise ValueError("the density's window is not the one the arrivals were counted in")
         below = self._below.sum(axis=0) if group is None else self._below[group]
-        n_total = int(below[-1])
-        cdf = GriddedCdf(windowed)
         for n_bins in CHI2_BIN_LADDER:
             edges = np.linspace(self.lo, self.hi, n_bins + 1)
-            _, pooled = _merge_edges_inward(np.zeros(n_bins), cdf.interval_masses(edges) * n_total)
-            if pooled.size > 1 and np.all(pooled >= MIN_EXPECTED_PER_BIN):
-                # The last bin also holds the arrivals at hi, so it ends at inf.
-                counts = np.diff(below[np.append(np.searchsorted(self._edges, edges[:-1]), -1)])
-                return chi_square_gof(Histogram(edges, counts, n_total), windowed), n_bins
+            # The last bin also holds the arrivals at hi, so it ends at inf.
+            counts = np.diff(below[np.append(np.searchsorted(self._edges, edges[:-1]), -1)])
+            try:
+                return chi_square_gof(Histogram(edges, counts, int(below[-1])), windowed), n_bins
+            except SparseTableError:
+                pass
         return None, None
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -676,6 +677,32 @@ class TestOutputDirectory:
                 "File name too long" in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+    def test_path_too_long_to_stage_is_rejected(self, tmp_path, capsys, monkeypatch):
+        # A path of 4,090 bytes can be looked up, but the staging directory
+        # beside it, 10 bytes longer, and the artifacts in that cannot.
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
+        head = tmp_path.joinpath(*["d" * 200] * ((4090 - len(str(tmp_path)) - 2) // 201))
+        out = head / ("d" * (4090 - len(str(head)) - 1))
+        assert len(str(out)) == 4090
+        assert main(["g1", "--n", "100", "--out", str(out)]) == 1
+        assert ("error: invalid config: --out is too long to stage: a run writes a path of "
+                "4120 bytes, more than the 4095 that the system holds" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("total_time", ["68719476736", "1e300", "1.7e308"])
+def test_total_time_beyond_float64_photon_spacing_is_rejected(tmp_path, capsys, monkeypatch,
+                                                              total_time):
+    # From 2**36 s on, float64 steps are 2**-16 s, wider than the 1e-5 s
+    # between photons; 1e300 s would also need some 1e300 dwells.
+    monkeypatch.setattr(cli.shelving, "simulate_trajectory", fail_if_called)
+    cli.RunConfig("shelving", tmp_path / "run", total_time=math.nextafter(2.0**36, 0))
+    out = tmp_path / "a" / "run"
+    assert main(["shelving", "--total-time", total_time, "--out", str(out)]) == 1
+    assert (f"--total-time {float(total_time)!r} is too long for float64 to keep photon "
+            "times 1e-05 s apart at the record's end" in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
 
 BAD_VALUES = {
     "--n": ["0", "-4", "ten"],
@@ -685,7 +712,8 @@ BAD_VALUES = {
 
 
 # Each geometry flag is absent, within 10**4 of its default either way, or
-# one of these values at the ends of the float range.
+# one of these values at the ends of the float range; --total-time is small
+# or one of them.
 EXTREME_LENGTHS = ["5e-324", "1e-300", "1e300", "1.7e308"]
 
 
@@ -700,8 +728,8 @@ def cli_calls(draw):
     seed, and the state of its --out."""
     values = {
         "--n": draw(st.integers(1, 200).map(str)),
-        # bounded: a record of 1e300 s passes every check, then simulate_trajectory never ends
-        "--total-time": draw(st.floats(1e-3, 2.0).map(repr)),
+        "--total-time": draw(st.one_of(st.floats(1e-3, 2.0).map(repr),
+                                       st.sampled_from(EXTREME_LENGTHS))),
         "--seed": draw(st.integers(0, 2**32).map(str)),
     }
     bad = draw(st.sampled_from([None, None, *BAD_VALUES]))
@@ -723,9 +751,9 @@ def cli_calls(draw):
 
 @st.composite
 def config_file_calls(draw):
-    """A cli_calls() call with some of its values moved to config-file lines,
-    and maybe a fault in the file: a byte that is not UTF-8, or an out= that
-    holds a NUL, given in place of the --out flag."""
+    """A cli_calls() call, with its --total-time value, some of its values
+    moved to config-file lines, and maybe a fault in the file: a byte that
+    is not UTF-8, or an out= that holds a NUL, given in place of --out."""
     argv, out_state = draw(cli_calls())
     flags, lines = [], []
     for item in [argv[:1], *(argv[i:i + 2] for i in range(1, len(argv), 2))]:
@@ -735,13 +763,13 @@ def config_file_calls(draw):
         else:
             flags += item
     fault = draw(st.sampled_from([None, None, "undecodable", "NUL in out"]))
-    return argv[0], flags, lines, fault, out_state
+    return argv[0], argv[argv.index("--total-time") + 1], flags, lines, fault, out_state
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(call=config_file_calls())
 def test_main_exits_with_a_code_and_a_complete_output_or_none(call):
-    experiment, argv, lines, fault, out_state = call
+    experiment, total_time, argv, lines, fault, out_state = call
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         if out_state != "absent":
@@ -759,6 +787,8 @@ def test_main_exits_with_a_code_and_a_complete_output_or_none(call):
             argv += ["--config", str(cfg)]
         code = main(argv)
         assert code in (0, 1)  # 2 and 3 need a fault in the numerics or the disk
+        if experiment == "shelving" and total_time in ("1e300", "1.7e308"):
+            assert code == 1  # a record float64 cannot time
         assert staging_dirs(out) == []
         if code == 0:
             assert out_state != "non-empty"

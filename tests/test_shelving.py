@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slitlab.shelving import (
+    DetectionScore,
     IonState,
     JumpDetector,
     PhotonRecord,
@@ -419,3 +420,85 @@ class TestDetectorAgainstGroundTruth:
         score = score_detections(traj, [], 0.1)
         assert score.false_discovery_rate == 0.0
         assert score.recall == 1.0
+
+
+B, D = IonState.BRIGHT, IonState.DARK
+
+# Hand-scored cases at the edges of score_detections' rule, at a threshold
+# of 0.25 s, so that a dwell counts in the recall from 0.5 s.  Every time is
+# a sum of powers of two, so that no rounding enters.  Each case: the
+# dwells, the detections, and the score as (recall, false-discovery rate,
+# max start latency, eligible dwells, detections, false detections).
+SCORE_CASES = {
+    # The dwell 1-2 ends where the silence of the detection at 2.25 begins.
+    "dwell ends as the silence begins": (
+        ((B, 1.0), (D, 1.0), (B, 2.0)), [(2.25, 3.0)], (0.0, 1.0, 0.0, 1, 1, 1)),
+    # The detection ends where the dwell 1-2 begins.
+    "detection ends as the dwell begins": (
+        ((B, 1.0), (D, 1.0), (B, 2.0)), [(0.5, 1.0)], (0.0, 1.0, 0.0, 1, 1, 1)),
+    # A silence from the record's start has no photon to time it from: the
+    # detection at 0 is credited with the dwell 0.5-1.5, but no latency.
+    "detection from the start": (
+        ((B, 0.5), (D, 1.0), (B, 1.0)), [(0.0, 1.5)], (1.0, 0.0, 0.0, 1, 1, 0)),
+    # The detection covers the dwells 1-2 and 2.125-3.125; its latency is
+    # taken from the first.
+    "detection over two dwells": (
+        ((B, 1.0), (D, 1.0), (B, 0.125), (D, 1.0), (B, 1.0)), [(1.25, 3.125)],
+        (1.0, 0.0, 0.25, 2, 1, 0)),
+    # The dwell 1-1.25, shorter than twice the threshold, is missed but not
+    # counted; the dwell 2.25-3.25 is found.
+    "short dwell": (
+        ((B, 1.0), (D, 0.25), (B, 1.0), (D, 1.0), (B, 1.0)), [(2.5, 3.25)],
+        (1.0, 0.0, 0.25, 1, 1, 0)),
+    # The detection at 3 follows a silence from 2.75, inside the bright dwell 2-4.
+    "detection of no dwell": (
+        ((B, 1.0), (D, 1.0), (B, 2.0)), [(1.25, 2.0), (3.0, 3.5)], (1.0, 0.5, 0.25, 1, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", SCORE_CASES)
+def test_score_at_the_edges_of_the_rule(case):
+    intervals, inferred, expected = SCORE_CASES[case]
+    traj = TelegraphTrajectory(intervals, sum(duration for _, duration in intervals))
+    assert score_detections(traj, inferred, 0.25) == DetectionScore(*expected)
+
+
+def score_by_pointers(traj, inferred, dark_threshold):
+    """score_detections as two hand-advanced pointers over the sorted
+    detections: the reference its searches must match bit for bit."""
+    true_dark = [(start, end) for state, start, end in traj.absolute_intervals() if state is D]
+    matched, latencies, n_false, j = [False] * len(true_dark), [], 0, 0
+    for start, end in sorted(inferred):
+        silence_start = max(start - dark_threshold, 0.0)
+        while j < len(true_dark) and true_dark[j][1] <= silence_start:
+            j += 1
+        k = j
+        while k < len(true_dark) and true_dark[k][0] < end:
+            matched[k] = True
+            k += 1
+        if k == j:
+            n_false += 1
+        elif start > 0.0:
+            latencies.append(abs(start - true_dark[j][0]))
+    eligible = [m for (s, e), m in zip(true_dark, matched) if e - s >= 2 * dark_threshold]
+    return DetectionScore(sum(eligible) / len(eligible) if eligible else 1.0,
+                          n_false / len(inferred) if inferred else 0.0,
+                          max(latencies) if latencies else 0.0, len(eligible), len(inferred),
+                          n_false)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_score_matches_the_pointer_reference(seed):
+    # The detector's own intervals, then arbitrary ones that start and end
+    # on dwell edges, overlap and come in any order.
+    rng = np.random.default_rng(seed)
+    rates = VSystemRates(5e3, rng.uniform(1, 50), rng.uniform(1, 20))
+    tau = rng.choice([default_dark_threshold(rates), 1e-3, 0.05])
+    traj = simulate_trajectory(rates, rng.uniform(0.01, 20), rng)
+    detected = detect_jumps(emit_photons(traj, rates, rng), tau)
+    edges = [t for _, start, end in traj.absolute_intervals() for t in (start, end)]
+    starts = rng.choice(np.concatenate([edges, rng.uniform(0, traj.total_time, 8)]), 20)
+    lengths = rng.choice([0.0, tau, 1e-9, rng.exponential()], 20)
+    arbitrary = list(zip(starts.tolist(), (starts + lengths).tolist()))
+    for inferred in (detected, arbitrary, detected + arbitrary):
+        assert score_detections(traj, inferred, tau) == score_by_pointers(traj, inferred, tau)

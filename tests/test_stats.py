@@ -31,6 +31,7 @@ from slitlab.stats import (
     FringeVisibility,
     Histogram,
     PositionSample,
+    SparseTableError,
     WindowedChi2,
     chi_square_gof,
     filter_positions,
@@ -320,7 +321,7 @@ class TestChiSquare:
         lo, hi = windowed.x[0], windowed.x[-1]
         sample = sample_positions(windowed, 300, np.random.default_rng(11))
         hist = histogram(filter_positions(sample, lo, hi), 96, (lo, hi))
-        with pytest.raises(ValueError, match="below 5"):
+        with pytest.raises(SparseTableError, match="below 5"):
             chi_square_gof(hist, windowed)
 
     def test_table_pooled_to_one_bin_is_an_error(self):
@@ -332,7 +333,7 @@ class TestChiSquare:
         lo, hi = windowed.x[0], windowed.x[-1]
         sample = sample_positions(windowed, 6, np.random.default_rng(13))
         hist = histogram(filter_positions(sample, lo, hi), 2, (lo, hi))
-        with pytest.raises(ValueError, match="fewer than two bins"):
+        with pytest.raises(SparseTableError, match="fewer than two bins"):
             chi_square_gof(hist, windowed)
 
     def test_edge_merging_pools_starved_tails(self):
@@ -450,6 +451,15 @@ class TestWindowedChi2:
         chi2 = WindowedChi2(OFF_DENSITY)
         with pytest.raises(ValueError, match="window"):
             chi2.finish(unit_interval_density())
+
+    def test_only_a_sparse_table_steps_down_the_ladder(self, monkeypatch):
+        # Expected masses that sum to 2 over the window fail chi_square_gof's
+        # normalization check, a fault that no coarser rung would mend.
+        sample = sample_positions(OFF_DENSITY, 100_000, np.random.default_rng(15))
+        cdf = GriddedCdf.cdf
+        monkeypatch.setattr(GriddedCdf, "cdf", lambda self, q: 2 * cdf(self, q))
+        with pytest.raises(ValueError, match="not normalized over the histogram range"):
+            windowed_chi2(sample.positions, OFF_DENSITY)
 
 
 # Simulation-based calibration (Talts et al. 2018): under the true model a
