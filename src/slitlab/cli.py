@@ -511,17 +511,18 @@ def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
 
 def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
     """The photon record is drawn once, dwell by dwell, and each dwell goes
-    to photons.csv and to the jump detector in the same pass.  Memory is
-    bounded by the longest bright dwell, not by the length of the record."""
+    to photons.csv and to the jump detector in the same pass.  Memory is set
+    by the longest bright dwell and, at under 40 B a dwell, by the trajectory."""
     rates = shelving.default_rates()
     threshold = shelving.default_dark_threshold(rates)
     rng = np.random.default_rng(config.seed)
     traj = shelving.simulate_trajectory(rates, config.total_time, rng)
-    absolute = traj.absolute_intervals()
+    starts, ends = traj.bounds()
+    first = traj.first_state
+    names = [first.value, *(state.value for state in shelving.IonState if state is not first)]
     _write_csv(out / "trajectory.csv", ["state", "start_s", "duration_s"],
-               [[[s.value for s, _, _ in absolute],
-                 [t0 for _, t0, _ in absolute],
-                 [t1 - t0 for _, t0, t1 in absolute]]])
+               [[(names * (starts.size // 2 + 1))[:starts.size], starts, ends - starts]])
+    del starts, ends  # not held while the photons stream
 
     detector = shelving.JumpDetector(traj.total_time, threshold)
 

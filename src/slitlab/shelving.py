@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -102,41 +103,46 @@ def default_dark_threshold(rates: VSystemRates) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TelegraphTrajectory:
-    """Ground-truth alternating bright/dark dwell record."""
+    """Ground-truth bright/dark dwell record: the first dwell's state and
+    the length of every dwell in order, the states alternating from the first."""
 
-    intervals: tuple[tuple[IonState, float], ...]
+    first_state: IonState
+    intervals: np.ndarray
     total_time: float
 
     def __post_init__(self) -> None:
-        if not self.intervals:
-            raise ValueError("trajectory needs at least one interval")
-        for (state, duration) in self.intervals:
-            if not 0 < duration < math.inf:  # so that NaN fails too
-                raise ValueError(f"interval durations must be positive and finite: {duration!r}")
-        for (a, _), (b, _) in zip(self.intervals, self.intervals[1:]):
-            if a is b:
-                raise ValueError("states must strictly alternate")
+        lengths = np.asarray(self.intervals, dtype=float)
+        lengths.flags.writeable = False
+        object.__setattr__(self, "intervals", lengths)
+        if lengths.ndim != 1 or not lengths.size:
+            raise ValueError("trajectory needs a 1-D array of at least one interval")
+        if not (lengths.min() > 0 and lengths.max() < math.inf):  # so that NaN fails too
+            raise ValueError("interval durations must be positive and finite")
         _check_total_time(self.total_time)
-        span = sum(d for _, d in self.intervals)
-        if abs(span - self.total_time) > DURATION_SUM_RTOL * self.total_time:
+        if abs(lengths.sum() - self.total_time) > DURATION_SUM_RTOL * self.total_time:
             raise ValueError("durations must sum to total_time")
+
+    def _offset(self, state: IonState) -> int:
+        """Index of the first dwell in ``state``; its next ones follow every second."""
+        return 0 if state is self.first_state else 1
 
     def durations(self, state: IonState) -> np.ndarray:
         """Complete dwell times in one state; the final interval, cut short
         by the end of the record, is dropped."""
-        return np.array([d for s, d in self.intervals[:-1] if s is state], dtype=float)
+        return self.intervals[self._offset(state):-1:2]
 
-    def absolute_intervals(self) -> list[tuple[IonState, float, float]]:
-        """(state, start, end) triples in chronological order."""
-        out = []
-        t = 0.0
-        for state, duration in self.intervals:
-            out.append((state, t, t + duration))
-            t += duration
-        return out
+    def bounds(self, state: IonState | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end times of the dwells in ``state``, or of every dwell: a
+        start is the sum of the lengths before it, added in record order."""
+        starts = np.zeros_like(self.intervals)
+        np.cumsum(self.intervals[:-1], out=starts[1:])  # sequential, unlike np.sum
+        ends = starts + self.intervals
+        dwells = slice(None) if state is None else slice(self._offset(state), None, 2)
+        return starts[dwells], ends[dwells]
 
     def dark_fraction(self) -> float:
-        dark = sum(d for s, d in self.intervals if s is IonState.DARK)
+        # Python's sum, in record order, not np.sum's pairwise one.
+        dark = sum(map(float, self.intervals[self._offset(IonState.DARK)::2]))
         return dark / self.total_time
 
 
@@ -180,22 +186,17 @@ def simulate_trajectory(
     """Alternating exponential dwells, starting bright, truncated at total_time."""
     if not math.isfinite(total_time) or total_time <= 0:
         raise ValueError(f"total_time must be positive and finite, got {total_time!r}")
-    intervals: list[tuple[IonState, float]] = []
-    state = IonState.BRIGHT
+    # Eight bytes a dwell, where a list would hold a Python float for each.
+    lengths = array("d")
+    means = (1.0 / rates.shelve_rate, 1.0 / rates.deshelve_rate)  # bright, dark
     elapsed = 0.0
-    while elapsed < total_time:
-        mean = (
-            1.0 / rates.shelve_rate if state is IonState.BRIGHT else 1.0 / rates.deshelve_rate
-        )
-        duration = float(rng.exponential(mean))
+    while True:
+        duration = float(rng.exponential(means[len(lengths) % 2]))
         if elapsed + duration >= total_time:
-            duration = total_time - elapsed
-            intervals.append((state, duration))
-            break
-        intervals.append((state, duration))
+            lengths.append(total_time - elapsed)
+            return TelegraphTrajectory(IonState.BRIGHT, np.frombuffer(lengths), total_time)
+        lengths.append(duration)
         elapsed += duration
-        state = IonState.DARK if state is IonState.BRIGHT else IonState.BRIGHT
-    return TelegraphTrajectory(tuple(intervals), total_time)
 
 
 def photon_chunks(
@@ -209,13 +210,11 @@ def photon_chunks(
     Arrivals that round to the same double are kept once, within a dwell
     and across dwells.  Each chunk passes ``PhotonRecord``'s checks and
     starts after the previous chunk's last arrival, so the chunks join into
-    a valid record; a dwell left without photons yields nothing.  Memory
-    is set by the longest bright dwell, not by ``total_time``.
+    a valid record; a dwell left without photons yields nothing.  Besides
+    the dwells' bounds (16 B a dwell), memory is set by the longest bright dwell.
     """
     last = -math.inf
-    for state, start, end in traj.absolute_intervals():
-        if state is not IonState.BRIGHT:
-            continue
+    for start, end in zip(*traj.bounds(IonState.BRIGHT)):
         duration = end - start
         count = int(rng.poisson(rates.fluorescence_rate * duration))
         if not count:
@@ -342,21 +341,20 @@ def score_detections(
     the record boundary has no reference photon and is excluded from the
     latency maximum.
     """
-    dark = np.array([(start, end) for state, start, end in traj.absolute_intervals()
-                     if state is IonState.DARK]).reshape(-1, 2)
+    dark_starts, dark_ends = traj.bounds(IonState.DARK)
     starts, ends = np.array(inferred, dtype=float).reshape(-1, 2).T
     # Each detection is credited with the dwells from the first that ends
     # after its silence began up to the first that starts at or after its end.
-    first = np.searchsorted(dark[:, 1], np.maximum(starts - dark_threshold, 0.0), side="right")
-    stop = np.searchsorted(dark[:, 0], ends, side="left")
+    first = np.searchsorted(dark_ends, np.maximum(starts - dark_threshold, 0.0), side="right")
+    stop = np.searchsorted(dark_starts, ends, side="left")
     hit = first < stop
     # +1 where a credited run of dwells begins, -1 past its end.
-    runs = np.bincount(first[hit], minlength=len(dark) + 1) - np.bincount(
-        stop[hit], minlength=len(dark) + 1)
+    runs = np.bincount(first[hit], minlength=dark_starts.size + 1) - np.bincount(
+        stop[hit], minlength=dark_starts.size + 1)
     matched = np.cumsum(runs)[:-1] > 0
-    eligible = dark[:, 1] - dark[:, 0] >= 2 * dark_threshold
+    eligible = dark_ends - dark_starts >= 2 * dark_threshold
     timed = hit & (starts > 0.0)
-    latencies = np.abs(starts[timed] - dark[first[timed], 0])
+    latencies = np.abs(starts[timed] - dark_starts[first[timed]])
     n_eligible = int(np.count_nonzero(eligible))
     n_false = int(np.count_nonzero(~hit))
     return DetectionScore(

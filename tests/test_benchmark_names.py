@@ -13,7 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from slitlab import cli, optics, stats
+from slitlab import cli, optics, shelving, stats
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +61,25 @@ def test_every_electron_goes_through_ppf_once(monkeypatch, tmp_path):
     monkeypatch.setattr(stats.GriddedCdf, "ppf", counted_ppf)
     assert cli.main(["g3", "--n", "100003", "--out", str(tmp_path / "g3")]) == 0
     assert sum(points) == 100_003
+
+
+def test_dwell_count_reads_every_dwell(monkeypatch, tmp_path):
+    # run.py reads shelving.dwells from the count child.py takes of the
+    # trajectory simulate_trajectory returns; a renamed or reshaped
+    # dwell array would break traced shelving runs or make them read wrong.
+    child = load_perfbench(monkeypatch, "child")
+    (count,) = [count for owner, attr, _, count in child.TRACED
+                if (owner, attr) == (shelving, "simulate_trajectory")]
+    dwells = []
+    real_simulate = shelving.simulate_trajectory
+
+    def counted_simulate(*args):
+        result = real_simulate(*args)
+        dwells.append(count(args, result))
+        return result
+
+    monkeypatch.setattr(shelving, "simulate_trajectory", counted_simulate)
+    out = tmp_path / "shelving"
+    assert cli.main(["shelving", "--total-time", "5", "--seed", "3", "--out", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert dwells == [len(rows)] and len(rows) > 1

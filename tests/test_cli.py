@@ -768,6 +768,10 @@ def config_file_calls(draw):
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(call=config_file_calls())
+# Records float64 cannot time, as a flag and as a config line: no derandomized
+# draw gives a shelving run either length.
+@example(call=("shelving", "1e300", ["shelving", "--total-time", "1e300"], [], None, "absent"))
+@example(call=("shelving", "1.7e308", ["shelving"], ["total_time=1.7e308"], None, "empty"))
 def test_main_exits_with_a_code_and_a_complete_output_or_none(call):
     experiment, total_time, argv, lines, fault, out_state = call
     with tempfile.TemporaryDirectory() as tmp:

@@ -57,14 +57,19 @@ class TestTrajectory:
     def test_vanishing_shelve_rate_gives_one_bright_interval(self):
         rates = VSystemRates(1e4, 1e-30, 1e-30)
         traj = simulate_trajectory(rates, 50.0, np.random.default_rng(0))
-        assert traj.intervals == ((IonState.BRIGHT, 50.0),)
+        assert traj.first_state is IonState.BRIGHT
+        assert traj.intervals.tolist() == [50.0]
 
     def test_alternation_and_duration_sum(self):
         traj = simulate_trajectory(default_rates(), 200.0, np.random.default_rng(1))
-        states = [s for s, _ in traj.intervals]
-        assert all(a is not b for a, b in zip(states, states[1:]))
-        assert sum(d for _, d in traj.intervals) == pytest.approx(200.0, rel=1e-12)
-        assert states[0] is IonState.BRIGHT
+        # Each dwell ends where one in the other state begins.
+        bright_starts, bright_ends = traj.bounds(IonState.BRIGHT)
+        dark_starts, dark_ends = traj.bounds(IonState.DARK)
+        assert bright_starts[0] == 0.0
+        assert bright_ends[:dark_starts.size].tobytes() == dark_starts.tobytes()
+        assert dark_ends[:bright_starts.size - 1].tobytes() == bright_starts[1:].tobytes()
+        assert sum(traj.intervals.tolist()) == pytest.approx(200.0, rel=1e-12)
+        assert traj.first_state is IonState.BRIGHT
 
     def test_mean_dark_duration_matches_rate(self):
         rates = default_rates()
@@ -87,18 +92,22 @@ class TestTrajectory:
         assert ks_exponential(traj.durations(IonState.DARK), rates.deshelve_rate).p_value > 0.01
 
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError, match="alternate"):
-            TelegraphTrajectory(((IonState.BRIGHT, 1.0), (IonState.BRIGHT, 1.0)), 2.0)
         with pytest.raises(ValueError, match="positive"):
-            TelegraphTrajectory(((IonState.BRIGHT, -1.0),), -1.0)
+            TelegraphTrajectory(IonState.BRIGHT, [-1.0], -1.0)
         with pytest.raises(ValueError, match="sum"):
-            TelegraphTrajectory(((IonState.BRIGHT, 1.0),), 2.0)
+            TelegraphTrajectory(IonState.BRIGHT, [1.0], 2.0)
         with pytest.raises(ValueError, match="interval durations must be positive and finite"):
-            TelegraphTrajectory(((IonState.BRIGHT, np.nan),), 1.0)
+            TelegraphTrajectory(IonState.BRIGHT, [np.nan], 1.0)
         with pytest.raises(ValueError, match="interval durations must be positive and finite"):
-            TelegraphTrajectory(((IonState.BRIGHT, np.inf),), np.inf)
+            TelegraphTrajectory(IonState.BRIGHT, [np.inf], np.inf)
         with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
-            TelegraphTrajectory(((IonState.BRIGHT, 1.0),), np.inf)
+            TelegraphTrajectory(IonState.BRIGHT, [1.0], np.inf)
+        for lengths in ([], [[1.0]], 1.0):
+            with pytest.raises(ValueError, match="1-D array of at least one interval"):
+                TelegraphTrajectory(IonState.BRIGHT, lengths, 1.0)
+        traj = TelegraphTrajectory(IonState.DARK, [1.0, 2.0], 3.0)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.intervals[0] = 2.0
 
     def test_non_finite_total_time_rejected(self):
         # NaN, not inf: a regression on inf would loop until memory runs out.
@@ -108,7 +117,36 @@ class TestTrajectory:
     def test_seed_determinism(self):
         a = simulate_trajectory(default_rates(), 100.0, np.random.default_rng(7))
         b = simulate_trajectory(default_rates(), 100.0, np.random.default_rng(7))
-        assert a.intervals == b.intervals
+        assert a.intervals.tobytes() == b.intervals.tobytes()
+
+    def test_simulation_holds_no_object_per_dwell(self):
+        # 6,719 dwells in one float64 array, about 8.6 B each.
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            traj = simulate_trajectory(default_rates(), 1e4, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.intervals.size == 6_719
+        assert peak <= 24 * traj.intervals.size
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("first_state", IonState)
+    def test_bounds_are_the_running_sum_bit_for_bit(self, seed, first_state):
+        rng = np.random.default_rng(seed)
+        rates = VSystemRates(1e5, rng.uniform(0.1, 10), rng.uniform(0.1, 10))
+        lengths = simulate_trajectory(rates, rng.uniform(1, 1e3), rng).intervals
+        traj = TelegraphTrajectory(first_state, lengths, sum(lengths.tolist()))
+        starts, ends, t = [], [], 0.0
+        for duration in lengths.tolist():
+            starts.append(t)
+            ends.append(t + duration)
+            t += duration
+        assert [b.tolist() for b in traj.bounds()] == [starts, ends]
+        for offset, state in enumerate([first_state, *set(IonState) - {first_state}]):
+            assert [b.tolist() for b in traj.bounds(state)] == [starts[offset::2],
+                                                                ends[offset::2]]
 
 
 class PlantedDraws:
@@ -126,8 +164,7 @@ class PlantedDraws:
 
 # Two bright dwells around a dark one too short to move the clock: the
 # second dwell starts exactly where the first one ends.
-ABUTTING_DWELLS = TelegraphTrajectory(
-    ((IonState.BRIGHT, 1.0), (IonState.DARK, 1e-17), (IonState.BRIGHT, 1.0)), 2.0)
+ABUTTING_DWELLS = TelegraphTrajectory(IonState.BRIGHT, [1.0, 1e-17, 1.0], 2.0)
 
 
 def stream_peak(total_time: float) -> tuple[int, int]:
@@ -153,21 +190,21 @@ def stream_peak(total_time: float) -> tuple[int, int]:
 
 class TestPhotonEmission:
     def test_dark_trajectory_emits_nothing(self):
-        traj = TelegraphTrajectory(((IonState.DARK, 10.0),), 10.0)
+        traj = TelegraphTrajectory(IonState.DARK, [10.0], 10.0)
         record = emit_photons(traj, default_rates(), np.random.default_rng(0))
         assert record.arrival_times.size == 0
 
     def test_bright_interval_count_is_poisson(self):
         rates = VSystemRates(1e4, 1e-30, 1e-30)
         duration = 50.0
-        traj = TelegraphTrajectory(((IonState.BRIGHT, duration),), duration)
+        traj = TelegraphTrajectory(IonState.BRIGHT, [duration], duration)
         record = emit_photons(traj, rates, np.random.default_rng(1))
         expected = rates.fluorescence_rate * duration
         assert abs(record.arrival_times.size - expected) < 3 * np.sqrt(expected)
 
     def test_gaps_within_bright_interval_are_exponential(self):
         rates = VSystemRates(1e3, 1e-30, 1e-30)
-        traj = TelegraphTrajectory(((IonState.BRIGHT, 100.0),), 100.0)
+        traj = TelegraphTrajectory(IonState.BRIGHT, [100.0], 100.0)
         record = emit_photons(traj, rates, np.random.default_rng(2))
         gaps = np.diff(record.arrival_times)
         assert ks_exponential(gaps, rates.fluorescence_rate).p_value > 0.01
@@ -192,8 +229,7 @@ class TestPhotonEmission:
     def test_equal_arrival_times_are_kept_once(self):
         draws = [np.array([0.75, 0.25, 0.5, 0.25, 0.5, 0.5, 0.0]),
                  np.array([0.0, 0.0, 0.1, 0.9, 0.9])]
-        traj = TelegraphTrajectory(
-            ((IonState.BRIGHT, 1.0), (IonState.DARK, 0.5), (IonState.BRIGHT, 1.0)), 2.5)
+        traj = TelegraphTrajectory(IonState.BRIGHT, [1.0, 0.5, 1.0], 2.5)
         record = emit_photons(traj, default_rates(), PlantedDraws(draws))
         expected = np.unique(np.concatenate(
             [start + np.sort(u) * 1.0 for start, u in zip((0.0, 1.5), draws)]))
@@ -222,7 +258,7 @@ class TestPhotonEmission:
     def test_non_finite_total_time_rejected_by_the_stream(self):
         # The trajectory rejects it, so no stream can start on one.
         with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
-            traj = TelegraphTrajectory(((IonState.BRIGHT, 1.0),), float("nan"))
+            traj = TelegraphTrajectory(IonState.BRIGHT, [1.0], float("nan"))
             next(photon_chunks(traj, default_rates(), np.random.default_rng(0)))
 
     def test_chunks_join_into_the_record(self):
@@ -230,7 +266,7 @@ class TestPhotonEmission:
         traj = simulate_trajectory(rates, 20.0, np.random.default_rng(5))
         chunks = list(photon_chunks(traj, rates, np.random.default_rng(6)))
         record = emit_photons(traj, rates, np.random.default_rng(6))
-        bright = sum(1 for state, _ in traj.intervals if state is IonState.BRIGHT)
+        bright = traj.bounds(IonState.BRIGHT)[0].size
         assert 1 < len(chunks) <= bright
         assert all(a[-1] < b[0] for a, b in zip(chunks, chunks[1:]))
         assert np.concatenate(chunks).tobytes() == record.arrival_times.tobytes()
@@ -408,7 +444,7 @@ class TestDetectorAgainstGroundTruth:
         # 100 times, and certainly within a factor of two of that.
         rates = VSystemRates(1e4, 1e-30, 1e-30)
         tau = dark_threshold_for_false_rate(rates, 1e-4)
-        traj = TelegraphTrajectory(((IonState.BRIGHT, 100.0),), 100.0)
+        traj = TelegraphTrajectory(IonState.BRIGHT, [100.0], 100.0)
         record = emit_photons(traj, rates, np.random.default_rng(22))
         inferred = detect_jumps(record, tau)
         n_gaps = record.arrival_times.size - 1
@@ -416,7 +452,7 @@ class TestDetectorAgainstGroundTruth:
         assert expected / 2 <= len(inferred) <= expected * 2
 
     def test_no_inferred_intervals_scores_cleanly(self):
-        traj = TelegraphTrajectory(((IonState.BRIGHT, 1.0),), 1.0)
+        traj = TelegraphTrajectory(IonState.BRIGHT, [1.0], 1.0)
         score = score_detections(traj, [], 0.1)
         assert score.false_discovery_rate == 0.0
         assert score.recall == 1.0
@@ -427,46 +463,51 @@ B, D = IonState.BRIGHT, IonState.DARK
 # Hand-scored cases at the edges of score_detections' rule, at a threshold
 # of 0.25 s, so that a dwell counts in the recall from 0.5 s.  Every time is
 # a sum of powers of two, so that no rounding enters.  Each case: the
-# dwells, the detections, and the score as (recall, false-discovery rate,
-# max start latency, eligible dwells, detections, false detections).
+# first dwell's state and the dwell lengths, the detections, and the score
+# as (recall, false-discovery rate, max start latency, eligible dwells,
+# detections, false detections).
 SCORE_CASES = {
     # The dwell 1-2 ends where the silence of the detection at 2.25 begins.
     "dwell ends as the silence begins": (
-        ((B, 1.0), (D, 1.0), (B, 2.0)), [(2.25, 3.0)], (0.0, 1.0, 0.0, 1, 1, 1)),
+        (B, [1.0, 1.0, 2.0]), [(2.25, 3.0)], (0.0, 1.0, 0.0, 1, 1, 1)),
     # The detection ends where the dwell 1-2 begins.
     "detection ends as the dwell begins": (
-        ((B, 1.0), (D, 1.0), (B, 2.0)), [(0.5, 1.0)], (0.0, 1.0, 0.0, 1, 1, 1)),
+        (B, [1.0, 1.0, 2.0]), [(0.5, 1.0)], (0.0, 1.0, 0.0, 1, 1, 1)),
     # A silence from the record's start has no photon to time it from: the
     # detection at 0 is credited with the dwell 0.5-1.5, but no latency.
     "detection from the start": (
-        ((B, 0.5), (D, 1.0), (B, 1.0)), [(0.0, 1.5)], (1.0, 0.0, 0.0, 1, 1, 0)),
+        (B, [0.5, 1.0, 1.0]), [(0.0, 1.5)], (1.0, 0.0, 0.0, 1, 1, 0)),
     # The detection covers the dwells 1-2 and 2.125-3.125; its latency is
     # taken from the first.
     "detection over two dwells": (
-        ((B, 1.0), (D, 1.0), (B, 0.125), (D, 1.0), (B, 1.0)), [(1.25, 3.125)],
+        (B, [1.0, 1.0, 0.125, 1.0, 1.0]), [(1.25, 3.125)],
         (1.0, 0.0, 0.25, 2, 1, 0)),
     # The dwell 1-1.25, shorter than twice the threshold, is missed but not
     # counted; the dwell 2.25-3.25 is found.
     "short dwell": (
-        ((B, 1.0), (D, 0.25), (B, 1.0), (D, 1.0), (B, 1.0)), [(2.5, 3.25)],
+        (B, [1.0, 0.25, 1.0, 1.0, 1.0]), [(2.5, 3.25)],
         (1.0, 0.0, 0.25, 1, 1, 0)),
     # The detection at 3 follows a silence from 2.75, inside the bright dwell 2-4.
     "detection of no dwell": (
-        ((B, 1.0), (D, 1.0), (B, 2.0)), [(1.25, 2.0), (3.0, 3.5)], (1.0, 0.5, 0.25, 1, 2, 1)),
+        (B, [1.0, 1.0, 2.0]), [(1.25, 2.0), (3.0, 3.5)], (1.0, 0.5, 0.25, 1, 2, 1)),
+    # A record that starts dark: the detection from the start finds the
+    # dwell 0-1, with no latency; the dark dwell 2-2.25 is too short to count.
+    "record starts dark": (
+        (D, [1.0, 1.0, 0.25, 1.0]), [(0.0, 1.0)], (1.0, 0.0, 0.0, 1, 1, 0)),
 }
 
 
 @pytest.mark.parametrize("case", SCORE_CASES)
 def test_score_at_the_edges_of_the_rule(case):
-    intervals, inferred, expected = SCORE_CASES[case]
-    traj = TelegraphTrajectory(intervals, sum(duration for _, duration in intervals))
+    (first_state, lengths), inferred, expected = SCORE_CASES[case]
+    traj = TelegraphTrajectory(first_state, lengths, sum(lengths))
     assert score_detections(traj, inferred, 0.25) == DetectionScore(*expected)
 
 
 def score_by_pointers(traj, inferred, dark_threshold):
     """score_detections as two hand-advanced pointers over the sorted
     detections: the reference its searches must match bit for bit."""
-    true_dark = [(start, end) for state, start, end in traj.absolute_intervals() if state is D]
+    true_dark = list(zip(*(bound.tolist() for bound in traj.bounds(D))))
     matched, latencies, n_false, j = [False] * len(true_dark), [], 0, 0
     for start, end in sorted(inferred):
         silence_start = max(start - dark_threshold, 0.0)
@@ -496,7 +537,7 @@ def test_score_matches_the_pointer_reference(seed):
     tau = rng.choice([default_dark_threshold(rates), 1e-3, 0.05])
     traj = simulate_trajectory(rates, rng.uniform(0.01, 20), rng)
     detected = detect_jumps(emit_photons(traj, rates, rng), tau)
-    edges = [t for _, start, end in traj.absolute_intervals() for t in (start, end)]
+    edges = np.column_stack(traj.bounds()).ravel()  # each dwell's start, then its end
     starts = rng.choice(np.concatenate([edges, rng.uniform(0, traj.total_time, 8)]), 20)
     lengths = rng.choice([0.0, tau, 1e-9, rng.exponential()], 20)
     arbitrary = list(zip(starts.tolist(), (starts + lengths).tolist()))
