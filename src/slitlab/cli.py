@@ -307,14 +307,6 @@ def parse_args(argv: list[str]) -> RunConfig:
                      output_dir=Path(out) if out else None, **values)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 # _write_labelled writes a block's text this many bytes at a time, so that
 # the copies a piece's labels make are small beside the text.
 _LABEL_PIECE_BYTES = 1 << 16
@@ -325,17 +317,20 @@ _LABEL_PIECE_BYTES = 1 << 16
 _ORJSON_FLOATS = (1e-4, 1e16)
 
 
-def _float_rows(table: np.ndarray) -> bytes:
-    """repr's text of each row of a 2-D float64 block: its cells joined by
-    commas, each row followed by a newline.
+def _float_rows(columns: list) -> bytes:
+    """repr's text of each row of a block of equal-length float64 columns:
+    its cells joined by commas, each row followed by a newline.
 
-    Each run of rows whose every cell lies inside _ORJSON_FLOATS is one
-    orjson call.  A lone column's "[x,y]" becomes "x\ny\n"; several
-    columns' "[[x,y],[z,w]]" becomes "x,y\nz,w\n" (dumping a lone column
-    as 2-D takes about five times as long).  Every other row takes repr.
+    The columns are stacked into one 2-D block (a lone column is viewed,
+    where column_stack would copy it), and each run of rows whose every
+    cell lies inside _ORJSON_FLOATS is one orjson call.  A lone column's
+    "[x,y]" becomes "x\ny\n"; several columns' "[[x,y],[z,w]]" becomes
+    "x,y\nz,w\n" (dumping a lone column as 2-D takes about five times as
+    long).  Every other row takes repr.
     """
     import orjson  # here, not at module level: only runs that write CSV need it
 
+    table = columns[0][:, np.newaxis] if len(columns) == 1 else np.column_stack(columns)
     magnitude = np.abs(table)
     low, high = _ORJSON_FLOATS
     ordinary = ((magnitude >= low) & (magnitude < high)).all(axis=1)  # NaN compares False
@@ -346,7 +341,7 @@ def _float_rows(table: np.ndarray) -> bytes:
         run = table[start:stop]
         if not ordinary[start]:
             pieces.append("".join(",".join(map(repr, row)) + "\n" for row in run.tolist()).encode())
-        elif table.shape[1] == 1:
+        elif len(columns) == 1:
             text = orjson.dumps(run.ravel(), option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b"\n")
             pieces += [memoryview(text)[1:-1], b"\n"]
         else:
@@ -355,36 +350,20 @@ def _float_rows(table: np.ndarray) -> bytes:
     return b"".join(pieces)
 
 
-def _format_block(columns: list) -> bytes:
-    """The CSV lines of one block of equal-length columns, each ending in a newline.
+def _write_labelled(fh, text: bytearray, row_ends: list[bytes], codes: np.ndarray) -> None:
+    """Write the CSV lines ``text``, its i-th newline replaced by
+    ``row_ends[codes[i]]``, or kept where that code is 10 (the newline's own).
 
-    Float64 array columns are stacked into one 2-D block for _float_rows.
-    Any other block (in a run, only trajectory.csv's, which leads with its
-    state names) is formatted row by row.
-    """
-    if all(isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns):
-        # A lone column is viewed, where column_stack would copy it.
-        table = columns[0][:, np.newaxis] if len(columns) == 1 else np.column_stack(columns)
-        return _float_rows(table)
-    lines = map(",".join, zip(*[map(_fmt, column) for column in columns]))
-    return "".join([line + "\n" for line in lines]).encode()
-
-
-def _write_labelled(fh, text: bytearray, names: tuple[str, ...], codes: np.ndarray) -> None:
-    """Write the CSV lines ``text`` with ``,names[code]`` of each row's code
-    put before its newline.
-
-    Each row's newline becomes its label's code, a byte below 10 (the
-    newline's own), so there are at most 10 names, and no byte of the lines
-    or of a name may be below their count, as CSV text's never are.  The
-    text is then written _LABEL_PIECE_BYTES at a time, each code that occurs
-    in the block replaced by ``,name\n``; a code is one byte, so a piece may
-    end anywhere in a row.
+    Each newline is set to its code, so there are at most 10 row ends, and
+    no byte of the lines or of a row end may be below their count, as CSV
+    text's never are.  The text is then written _LABEL_PIECE_BYTES at a
+    time, each code that occurs in the block replaced by its row end; a
+    code is one byte, so a piece may end anywhere in a row.
     """
     marks = np.frombuffer(text, np.uint8)
     marks[marks == ord("\n")] = codes
-    present = [(bytes([code]), f",{names[code]}\n".encode())
-               for code in np.flatnonzero(np.bincount(codes))]
+    present = [(bytes([code]), row_ends[code])
+               for code in np.flatnonzero(np.bincount(codes)[:len(row_ends)])]
     for start in range(0, len(text), _LABEL_PIECE_BYTES):
         piece = text[start:start + _LABEL_PIECE_BYTES]
         for code, row_end in present:
@@ -394,19 +373,27 @@ def _write_labelled(fh, text: bytearray, names: tuple[str, ...], codes: np.ndarr
 
 def _write_chunk(fh, label_names: tuple[str, ...], columns: list) -> int:
     """Write one chunk of equal-length columns, measurement.CSV_BLOCK_ROWS
-    rows at a time; return its row count.  Given ``label_names``, the last
-    column holds each row's code into them, and must follow another: the
-    names go after the lines of the columns before it."""
+    rows at a time; return its row count.  Given ``label_names``, the end
+    column that is not float64 holds each row's code into them.  Leading
+    (trajectory.csv's state), each newline is set to the next row's code,
+    to become ``\nname,``, and a block's first name goes before its text;
+    trailing (samples.csv's outcome), to its own row's, to become ``,name\n``."""
     n_rows = len(columns[0])
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"{Path(fh.name).name}: columns differ in length")
+    leading = columns[0].dtype != np.float64
+    row_ends = [(f"\n{name}," if leading else f",{name}\n").encode() for name in label_names]
     block = measurement.CSV_BLOCK_ROWS
     for start in range(0, n_rows, block):
         rows = [column[start:start + block] for column in columns]
-        if label_names:
-            _write_labelled(fh, bytearray(_format_block(rows[:-1])), label_names, rows[-1])
+        if not label_names:
+            fh.write(_float_rows(rows))
+        elif leading:
+            fh.write(row_ends[rows[0][0]][1:])
+            _write_labelled(fh, bytearray(_float_rows(rows[1:])), row_ends,
+                            np.append(rows[0][1:], ord("\n")))
         else:
-            fh.write(_format_block(rows))
+            _write_labelled(fh, bytearray(_float_rows(rows[:-1])), row_ends, rows[-1])
     return n_rows
 
 
@@ -415,11 +402,12 @@ def _write_csv(path: Path, header: list[str], chunks: Iterable[list],
     """Write a table under a header and return its row count.
 
     The rows arrive as consecutive chunks, each a list of equal-length
-    columns: a table held in memory is one chunk, a stream is read a chunk
-    at a time.  A labelled table (``label_names`` given) ends in a column
-    of integer codes, each written as ``label_names[code]``.  Each block
-    of measurement.CSV_BLOCK_ROWS rows is formatted and written in turn,
-    so the bytes written do not depend on where the chunks end.
+    numpy columns: a table held in memory is one chunk, a stream is read a
+    chunk at a time.  Every column is float64 but, in a labelled table
+    (``label_names`` given), its first or its last: a column of integer
+    codes, each written as ``label_names[code]``.  Each block of
+    measurement.CSV_BLOCK_ROWS rows is formatted and written in turn, so
+    the bytes written do not depend on where the chunks end.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
@@ -432,7 +420,7 @@ def _write_summary(path: Path, summary: dict) -> None:
 
 
 def _write_config_echo(path: Path, entries: dict) -> None:
-    lines = [f"{key}={_fmt(entries[key])}" for key in sorted(entries)]
+    lines = [f"{key}={entries[key]}" for key in sorted(entries)]
     path.write_text("\n".join(lines) + "\n", newline="")
 
 
@@ -512,17 +500,20 @@ def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
 def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
     """The photon record is drawn once, dwell by dwell, and each dwell goes
     to photons.csv and to the jump detector in the same pass.  Memory is set
-    by the longest bright dwell and, at under 40 B a dwell, by the trajectory."""
+    by the longest bright dwell and by the trajectory: 8 B a dwell, and
+    about 28 B a dwell while trajectory.csv is written."""
     rates = shelving.default_rates()
     threshold = shelving.default_dark_threshold(rates)
     rng = np.random.default_rng(config.seed)
     traj = shelving.simulate_trajectory(rates, config.total_time, rng)
     starts, ends = traj.bounds()
     first = traj.first_state
-    names = [first.value, *(state.value for state in shelving.IonState if state is not first)]
+    names = (first.value, *(state.value for state in shelving.IonState if state is not first))
+    states = np.zeros(starts.size, np.uint8)  # codes into names, alternating from the first
+    states[1::2] = 1
     _write_csv(out / "trajectory.csv", ["state", "start_s", "duration_s"],
-               [[(names * (starts.size // 2 + 1))[:starts.size], starts, ends - starts]])
-    del starts, ends  # not held while the photons stream
+               [[states, starts, ends - starts]], names)
+    del states, starts, ends  # not held while the photons stream
 
     detector = shelving.JumpDetector(traj.total_time, threshold)
 
@@ -680,6 +671,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"error: io failure: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
     finally:
         if unwind:

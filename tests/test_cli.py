@@ -544,9 +544,9 @@ def test_io_failure_inside_photons_csv_leaves_no_output(tmp_path, monkeypatch, c
     real = cli._write_csv
     written = []
 
-    def failing_write(path, header, chunks):
+    def failing_write(path, header, chunks, label_names=()):
         if path.name != "photons.csv":
-            return real(path, header, chunks)
+            return real(path, header, chunks, label_names)
 
         def first_chunk_then_full_disk():
             for chunk in chunks:
@@ -562,6 +562,25 @@ def test_io_failure_inside_photons_csv_leaves_no_output(tmp_path, monkeypatch, c
     assert main(["shelving", "--total-time", "5", "--out", str(out)]) == 3
     assert "io failure" in capsys.readouterr().err
     assert len(written) == 1
+    assert not out.exists()
+    assert staging_dirs(out) == []
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "an allocation failed"),
+    (MemoryError("Unable to allocate 36.3 GiB for an array with shape (4871235892,) "
+                 "and data type float64"), "Unable to allocate 36.3 GiB"),
+], ids=["bare", "numpy"])
+def test_out_of_memory_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys, error, message):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli.shelving, "simulate_trajectory", exhausted)
+    out = tmp_path / "run"
+    assert main(["shelving", "--total-time", "2", "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: out of memory: ") and message in lines[0]
     assert not out.exists()
     assert staging_dirs(out) == []
 
@@ -959,26 +978,21 @@ def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block_
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (argv, name)
 
 
-def reference_fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def reference_write_csv(path, header, chunks, label_names=()) -> int:
     """The per-cell writer that the column-wise one replaced, kept as its reference.
 
-    It reads every row of every chunk before writing any, and returns the
-    row count.
+    Each float is written as its repr.  In a labelled table, the code
+    column (the first or the last, whichever is not float64) is written as
+    the names its codes index, in the column's place.  It reads every row
+    of every chunk before writing any, and returns the row count.
     """
     lines = [",".join(header)]
     for columns in chunks:
+        cells = [[repr(value) for value in column.tolist()] for column in columns]
         if label_names:
-            columns = [*columns[:-1], [label_names[code] for code in columns[-1]]]
-        for row in zip(*columns):
-            lines.append(",".join(reference_fmt(v) for v in row))
+            at = 0 if columns[0].dtype != np.float64 else -1
+            cells[at] = [label_names[code] for code in columns[at]]
+        lines += map(",".join, zip(*cells))
     path.write_text("\n".join(lines) + "\n", newline="")
     return len(lines) - 1
 
@@ -1020,33 +1034,33 @@ BLOCK = measurement.CSV_BLOCK_ROWS
 
 @pytest.mark.parametrize("n_rows", [0, 1, BLOCK, BLOCK + 1, 4 * BLOCK, 4 * BLOCK + 1])
 def test_writer_matches_reference_at_block_edges(tmp_path, n_rows):
+    # The labelled tables' shapes in a run: samples.csv's float column and
+    # trailing outcome, trajectory.csv's leading state and two float columns.
     rng = np.random.default_rng(n_rows)
     floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
     codes = rng.integers(0, 3, n_rows)
-    columns = [floats, codes, codes == 1, codes]
-    text = assert_writers_agree(tmp_path, ["x", "code", "flag", "outcome"], columns,
-                                ("seen_at_a", "seen_at_b", "not_seen"))
-    assert text.count(b"\n") == n_rows + 1
+    for header, columns in ((["x", "outcome"], [floats, codes]),
+                            (["outcome", "x", "y"], [codes, floats, floats / 3])):
+        text = assert_writers_agree(tmp_path, header, columns, OUTCOMES)
+        assert text.count(b"\n") == n_rows + 1
     single = assert_writers_agree(tmp_path, ["x"], [floats])
     if n_rows == 0:
         assert single == b"x\n"
 
 
 def test_writer_matches_reference_on_edge_cells(tmp_path):
-    floats = [-0.0, 1e-05, 1e16, 5e-324, 0.1, -1.5e-300, float("inf"), float("nan")]
-    n = len(floats)
-    ints = list(range(-3, n - 3))
-    bools = [True, False] * (n // 2)
-    labels = ["bright", "dark"] * (n // 2)
-    columns = [np.array(floats), floats, np.array(ints), ints, np.array(bools), bools,
-               labels, np.arange(n) % 2]
-    text = assert_writers_agree(tmp_path, [f"c{i}" for i in range(len(columns))], columns,
-                                ("bright", "dark"))
-    rows = text.decode().splitlines()
-    assert rows[1] == "-0.0,-0.0,-3,-3,true,true,bright,bright"
-    assert rows[4].split(",")[:2] == ["5e-324", "5e-324"]
-    assert rows[2].split(",")[:2] == ["1e-05", "1e-05"]
-    assert rows[3].split(",")[:2] == ["1e+16", "1e+16"]
+    floats = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1, -1.5e-300, float("inf"), float("nan")])
+    codes = np.arange(len(floats)) % 2
+    names = ("bright", "dark")
+    trailing = assert_writers_agree(tmp_path, ["x", "y", "state"], [floats, -floats, codes], names)
+    rows = trailing.decode().splitlines()
+    assert rows[1] == "-0.0,0.0,bright"
+    assert rows[2] == "1e-05,-1e-05,dark"
+    assert rows[3] == "1e+16,-1e+16,bright"
+    assert rows[4] == "5e-324,-5e-324,dark"
+    leading = assert_writers_agree(tmp_path, ["state", "x", "y"], [codes, floats, -floats], names)
+    assert leading.decode().splitlines()[1:5] == [
+        "bright,-0.0,0.0", "dark,1e-05,-1e-05", "bright,1e+16,-1e+16", "dark,5e-324,-5e-324"]
 
 
 # orjson writes floats in repr's text only inside cli._ORJSON_FLOATS; these
@@ -1074,18 +1088,21 @@ THREE_COLUMN_ROWS = [row for i, x in enumerate(EDGE_FLOATS)
 def test_float_cells_are_repr_text(rows):
     columns = [np.array(column) for column in zip(*rows)]
     expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    assert cli._format_block(columns) == expected.encode()
+    assert cli._float_rows(columns) == expected.encode()
 
 
 @given(st.lists(st.tuples(st.floats(), st.sampled_from(OUTCOMES)), min_size=1))
 @example([(x, OUTCOMES[i % 3]) for i, x in enumerate(EDGE_FLOATS)])
 def test_float_and_label_rows_are_repr_text(rows):
+    # The label trails the float, as in samples.csv, and leads it.
     xs, labels = zip(*rows)
+    xs = np.array(xs)
     codes = np.array([OUTCOMES.index(label) for label in labels])
-    fh = io.BytesIO()
-    text = bytearray(cli._format_block([np.array(xs)]))
-    cli._write_labelled(fh, text, OUTCOMES, codes)
-    assert fh.getvalue() == "".join(f"{x!r},{label}\n" for x, label in rows).encode()
+    for columns, row_text in (([xs, codes], "{x!r},{label}\n"), ([codes, xs], "{label},{x!r}\n")):
+        fh = io.BytesIO()
+        cli._write_chunk(fh, OUTCOMES, columns)
+        expected = "".join(row_text.format(x=x, label=label) for x, label in rows)
+        assert fh.getvalue() == expected.encode()
 
 
 @pytest.mark.parametrize("illumination", [Illumination.BOTH_HOLES, Illumination.HOLE_A],
@@ -1096,11 +1113,12 @@ def test_labelled_block_holds_its_text_once(tmp_path, illumination):
     # text and the output.
     index, positions = next(measurement.arrival_blocks(
         illumination, default_geometry(), measurement.CSV_BLOCK_ROWS, np.random.default_rng(1)))
-    float_text = cli._format_block([positions])
+    float_text = cli._float_rows([positions])
+    row_ends = [f",{name}\n".encode() for name in OUTCOMES]
     with open(tmp_path / "samples.csv", "wb") as fh:
         tracemalloc.start()
         try:
-            cli._write_labelled(fh, bytearray(cli._format_block([positions])), OUTCOMES, index)
+            cli._write_labelled(fh, bytearray(cli._float_rows([positions])), row_ends, index)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1125,9 +1143,11 @@ def test_chunk_edges_do_not_change_the_bytes(tmp_path):
     rng = np.random.default_rng(3)
     floats = rng.standard_normal(n_rows)
     codes = rng.integers(0, 2, n_rows)
-    whole = assert_writers_agree(tmp_path, ["t", "state"], [floats, codes], ("bright", "dark"))
     # an empty first chunk, an empty chunk in the middle, one longer than a block, an empty tail
     cuts = [0, 0, 5, 5, measurement.CSV_BLOCK_ROWS + 7, n_rows, n_rows]
-    chunks = [[floats[a:b], codes[a:b]] for a, b in zip(cuts, cuts[1:])]
-    cli._write_csv(tmp_path / "chunked.csv", ["t", "state"], iter(chunks), ("bright", "dark"))
-    assert (tmp_path / "chunked.csv").read_bytes() == whole
+    for header, table in ((["t", "state"], lambda a, b: [floats[a:b], codes[a:b]]),
+                          (["state", "t"], lambda a, b: [codes[a:b], floats[a:b]])):
+        whole = assert_writers_agree(tmp_path, header, table(0, n_rows), ("bright", "dark"))
+        chunks = [table(a, b) for a, b in zip(cuts, cuts[1:])]
+        cli._write_csv(tmp_path / "chunked.csv", header, iter(chunks), ("bright", "dark"))
+        assert (tmp_path / "chunked.csv").read_bytes() == whole, header

@@ -47,7 +47,7 @@ def test_import_alone_changes_nothing(python):
 def test_orjson_is_imported_by_the_first_csv_block_only(python):
     code = ("import sys, numpy, slitlab.cli as cli\n"
             "print('orjson' in sys.modules)\n"
-            "cli._format_block([numpy.array([0.5])])\n"
+            "cli._float_rows([numpy.array([0.5])])\n"
             "print('orjson' in sys.modules)\n")
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr

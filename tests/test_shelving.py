@@ -21,6 +21,7 @@ from slitlab.shelving import (
     photon_chunks,
     score_detections,
     simulate_trajectory,
+    _check_arrivals,
 )
 from slitlab.stats import ks_exponential
 
@@ -254,6 +255,12 @@ class TestPhotonEmission:
         assert next(chunks).tolist() == [0.5]
         with pytest.raises(ValueError, match=message):
             next(chunks)
+
+    def test_a_first_arrival_equal_to_the_last_before_is_rejected(self):
+        # photon_chunks drops such ties before its check, so only a direct
+        # call reaches the comparison with ``after``.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _check_arrivals(np.array([1.0]), 2.0, after=1.0)
 
     def test_non_finite_total_time_rejected_by_the_stream(self):
         # The trajectory rejects it, so no stream can start on one.

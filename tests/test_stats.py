@@ -306,6 +306,14 @@ class TestChiSquare:
         # uniform density, ample counts: no merging, 12 bins -> dof 11
         assert result.dof == 11
 
+    def test_expected_counts_of_exactly_five_are_not_pooled(self):
+        # Four bins of a uniform density, each expecting 5 of 20 counts: the
+        # pooling threshold is met, not missed, so all four bins stay.
+        dens = unit_interval_density(grid_points=5)
+        result = chi_square_gof(Histogram(np.linspace(0.0, 1.0, 5), np.full(4, 5), 20), dens)
+        assert result.dof == 3
+        assert result.statistic == 0.0
+
     def test_requires_normalization_over_range(self):
         sample = sample_positions(OFF_DENSITY, 1000, np.random.default_rng(10))
         conditioned = filter_positions(sample, -0.05, 0.05)
@@ -519,6 +527,8 @@ class TestKsExponential:
             ks_exponential(np.ones(5), 1.0)
         with pytest.raises(ValueError, match="positive"):
             ks_exponential(np.ones(20), -1.0)
+        with pytest.raises(ValueError, match="positive"):
+            ks_exponential(np.ones(20), 0.0)
         with pytest.raises(ValueError, match="positive"):
             ks_exponential(np.concatenate([np.ones(20), [0.0]]), 1.0)
 
