@@ -4,6 +4,7 @@ Each check of the process's exit runs ``python`` in a subprocess, with this
 checkout's ``src`` first on its path.
 """
 
+import errno
 import hashlib
 import signal
 import subprocess
@@ -114,6 +115,44 @@ def test_module_run_errors_keep_their_status_and_one_line(tmp_path, case, python
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}: "), proc.stderr
     assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker"]
+
+
+# Each resource limit below is set by the child process on itself, after
+# its imports; the test process and its other children keep their own limits.
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmSize from /proc/self/status")
+def test_running_out_of_memory_exits_3_with_one_error_line(tmp_path, python):
+    # The address space is capped 15 MiB above the child's size after import.
+    # A million-second record has about 667,000 dwells, and its trajectory's
+    # lengths, starts and ends (5 MiB each) and their temporaries do not fit.
+    code = ("import resource, sys\n"
+            "import slitlab.cli as cli\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    size = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))\n"
+            "limit = size * 1024 + 15 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS,"
+            " (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = python("-c", code, "shelving", "--total-time", "1e6", "--out", str(tmp_path / "run"))
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_file_size_limit_exits_3_and_leaves_nothing(tmp_path, python):
+    # photons.csv of a 100 s record takes about 60 MB, past the 10 MB limit;
+    # with SIGXFSZ ignored the write fails with EFBIG instead of killing the child.
+    code = ("import resource, signal, sys\n"
+            "import slitlab.cli as cli\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (10_000_000, 10_000_000))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = python("-c", code, "shelving", "--total-time", "100", "--out", str(tmp_path / "run"))
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: io failure: "), proc.stderr
+    assert f"[Errno {errno.EFBIG}]" in lines[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sigterm_removes_the_staging_directory(tmp_path, subprocess_env):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 from hypothesis import example, given, settings, strategies as st
 
 from slitlab.shelving import (
@@ -457,6 +458,35 @@ class TestDetectorAgainstGroundTruth:
         n_gaps = record.arrival_times.size - 1
         expected = n_gaps * 1e-4
         assert expected / 2 <= len(inferred) <= expected * 2
+
+    def test_detection_lags_follow_the_exponential_law(self):
+        # A photon-bounded detection starts tau after its silence began, at
+        # the last photon before the shelving.  The gap E from that photon to
+        # the dark dwell's start is the backward recurrence time of the
+        # Poisson photons, Exp(R_f), so criterion 8's latency tau - E <= tau
+        # holds by construction; this tests the law itself.  Each run's E*R_f
+        # goes to a KS test against Exp(1), and the runs' p-values to one
+        # against U(0, 1).  About 7 gaps a run; the seeds are fixed in advance.
+        rates = default_rates()
+        tau = default_dark_threshold(rates)
+        p_values = []
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            traj = simulate_trajectory(rates, 20.0, rng)
+            detector = JumpDetector(traj.total_time, tau)
+            for chunk in photon_chunks(traj, rates, rng):
+                detector.feed(chunk)
+            starts, ends = np.array(detector.finish()).reshape(-1, 2).T
+            dark_starts, dark_ends = traj.bounds(IonState.DARK)
+            # score_detections' match: the first dark dwell ending after the
+            # silence began, if it starts before the detection ends.
+            silence = starts - tau
+            first = np.searchsorted(dark_ends, silence, side="right")
+            timed = (starts > 0) & (first < np.searchsorted(dark_starts, ends, side="left"))
+            gaps = dark_starts[first[timed]] - silence[timed]
+            assert gaps.size and np.all(gaps > 0), seed
+            p_values.append(sps.kstest(gaps * rates.fluorescence_rate, "expon").pvalue)
+        assert sps.kstest(p_values, "uniform").pvalue >= 0.01
 
     def test_no_inferred_intervals_scores_cleanly(self):
         traj = TelegraphTrajectory(IonState.BRIGHT, [1.0], 1.0)
