@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import shutil
 import signal
 import sys
@@ -158,7 +159,7 @@ class RunConfig:
             # A lookup finds a name too long only under an existing parent,
             # so each name is measured against the file system of out's
             # nearest existing ancestor.
-            anchor = next(path for path in out.parents if path.exists())
+            anchor = _nearest_existing(out)
             name_max = os.pathconf(anchor, "PC_NAME_MAX")
             longest = max(len(os.fsencode(part)) for part in out.parts)
             if longest > name_max:
@@ -500,8 +501,10 @@ def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
 def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
     """The photon record is drawn once, dwell by dwell, and each dwell goes
     to photons.csv and to the jump detector in the same pass.  Memory is set
-    by the longest bright dwell and by the trajectory: 8 B a dwell, and
-    about 28 B a dwell while trajectory.csv is written."""
+    by the longest bright dwell, by the trajectory (8 B a dwell, and about
+    28 B a dwell while trajectory.csv is written) and by the detections,
+    16 B each (two arrays of them while the detector's is copied for the
+    scorer)."""
     rates = shelving.default_rates()
     threshold = shelving.default_dark_threshold(rates)
     rng = np.random.default_rng(config.seed)
@@ -566,6 +569,49 @@ def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
     return summary, echo
 
 
+# About the bytes of repr text a run writes per electron to samples.csv
+# (21 in g1, 31 with the outcome label), per photon to photons.csv and per
+# dwell to trajectory.csv.
+_BYTES_PER_ELECTRON = 21
+_BYTES_PER_PHOTON = 18
+_BYTES_PER_DWELL = 40
+
+# A run is refused for want of room only when its files would not fit at a
+# tenth of their expected size, so that no run that fits is refused.
+_ROOM_FRACTION = 0.1
+
+
+def _nearest_existing(path: Path) -> Path:
+    """``path``'s nearest existing ancestor, whose file system it would be on."""
+    return next(parent for parent in path.parents if parent.exists())
+
+
+def _check_room(config: RunConfig) -> None:
+    """Raise ConfigError, before any work, when a tenth of the bytes that
+    the run's large files are expected to take exceeds the free space
+    under --out, or a tenth of the largest one the file size limit."""
+    if config.experiment in TWO_HOLE_EXPERIMENTS:
+        expected = {"samples.csv": _BYTES_PER_ELECTRON * config.n_electrons}
+    else:
+        rates = shelving.default_rates()
+        photons = rates.fluorescence_rate * config.total_time * (1 - rates.stationary_dark_fraction)
+        mean_dwell = (1 / rates.shelve_rate + 1 / rates.deshelve_rate) / 2
+        expected = {"photons.csv": _BYTES_PER_PHOTON * photons,
+                    "trajectory.csv": _BYTES_PER_DWELL * config.total_time / mean_dwell}
+    anchor = _nearest_existing(config.output_dir)
+    fs = os.statvfs(anchor)
+    free = fs.f_bavail * fs.f_frsize
+    total = sum(expected.values())
+    if _ROOM_FRACTION * total > free:
+        raise ConfigError(f"the run would write about {total:.3g} bytes, and a tenth of that "
+                          f"is more than the {free} bytes free under {anchor}")
+    limit = resource.getrlimit(resource.RLIMIT_FSIZE)[0]
+    name = max(expected, key=expected.get)
+    if limit != resource.RLIM_INFINITY and _ROOM_FRACTION * expected[name] > limit:
+        raise ConfigError(f"{name} would take about {expected[name]:.3g} bytes, and a tenth of "
+                          f"that is more than the file size limit of {limit} bytes")
+
+
 def _staging_prefix(name: str, name_max: int) -> str:
     """mkdtemp's prefix ".name." for a staging directory beside ``name``, cut
     so that the staging name, 8 characters longer, fits where the name does."""
@@ -595,7 +641,9 @@ def run(config: RunConfig) -> None:
     empty output directory, if one exists); a run that fails anywhere,
     writing included, removes the staging directory and the missing
     parents of the output directory that it made, and leaves no output.
+    A run whose files would not fit is refused first (see _check_room).
     """
+    _check_room(config)
     runner = _run_shelving if config.experiment == "shelving" else _run_two_hole
     out = config.output_dir
     made: list[Path] = []

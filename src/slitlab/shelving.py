@@ -252,8 +252,8 @@ class JumpDetector:
     """Infer dark intervals purely from photon silences longer than the threshold.
 
     The arrival times of one record are fed in order, a chunk at a time;
-    only the last arrival time is carried from one chunk to the next, so a
-    record of any length runs in the memory of its largest chunk.
+    only the last arrival time and the detections, 16 B each, are carried
+    from one chunk to the next, beside the temporaries of the largest chunk.
 
     A silence observed between photons is declared dark starting at
     last_photon + dark_threshold - the inference is only available once the
@@ -268,42 +268,42 @@ class JumpDetector:
         _check_total_time(total_time)
         self.total_time = total_time
         self.dark_threshold = dark_threshold
-        self._inferred: list[tuple[float, float]] = []
+        self._found = array("d")  # each detection's start, then its end
         self._last: float | None = None
+
+    def _silence_until(self, end: float) -> tuple[float, ...]:
+        """Start and end of the silence from the last arrival (or 0) to ``end``, or ()."""
+        if self._last is None:
+            return (0.0, end) if end > self.dark_threshold else ()
+        start = self._last + self.dark_threshold
+        return (start, end) if start < end else ()
 
     def feed(self, times: np.ndarray) -> None:
         """Read the record's next arrival times; its temporaries die on return."""
         if not times.size:
             return
-        threshold = self.dark_threshold
-        first = float(times[0])
-        if self._last is None:
-            if first > threshold:
-                # No photon has been seen since the start; the silence begins there.
-                self._inferred.append((0.0, first))
-        elif self._last + threshold < first:
-            self._inferred.append((self._last + threshold, first))
+        self._found.extend(self._silence_until(float(times[0])))
         # Compare the rounded dark start with the gap's end, not the gap
         # length with the threshold: a gap within an ulp of the threshold
         # would otherwise give an interval of zero length.
-        dark_start = times[:-1] + threshold
+        dark_start = times[:-1] + self.dark_threshold
         gap_end = times[1:]
         long_gaps = dark_start < gap_end
-        self._inferred.extend(zip(dark_start[long_gaps].tolist(), gap_end[long_gaps].tolist()))
+        if long_gaps.any():
+            self._found.frombytes(np.column_stack((dark_start[long_gaps],
+                                                   gap_end[long_gaps])).tobytes())
         self._last = float(times[-1])
 
-    def finish(self) -> list[tuple[float, float]]:
-        """The inferred dark intervals, the silence at the record's end included."""
-        inferred = list(self._inferred)
-        if self._last is None:
-            if self.total_time > self.dark_threshold:
-                inferred.append((0.0, self.total_time))
-        elif self._last + self.dark_threshold < self.total_time:
-            inferred.append((self._last + self.dark_threshold, self.total_time))
-        return inferred
+    def finish(self) -> np.ndarray:
+        """The inferred dark intervals, the silence at the record's end included, as
+        a read-only (n, 2) float64 array of starts and ends: a copy, so feeding may go on."""
+        found = np.frombuffer(self._found + array("d", self._silence_until(self.total_time)))
+        found = found.reshape(-1, 2)
+        found.flags.writeable = False
+        return found
 
 
-def detect_jumps(record: PhotonRecord, dark_threshold: float) -> list[tuple[float, float]]:
+def detect_jumps(record: PhotonRecord, dark_threshold: float) -> np.ndarray:
     """``JumpDetector`` over a whole record held as one chunk."""
     detector = JumpDetector(record.total_time, dark_threshold)
     detector.feed(record.arrival_times)
@@ -324,7 +324,7 @@ class DetectionScore:
 
 def score_detections(
     traj: TelegraphTrajectory,
-    inferred: list[tuple[float, float]],
+    inferred: np.ndarray,
     dark_threshold: float,
 ) -> DetectionScore:
     """Match inferred dark intervals to true ones by their triggering silence.
@@ -342,7 +342,7 @@ def score_detections(
     latency maximum.
     """
     dark_starts, dark_ends = traj.bounds(IonState.DARK)
-    starts, ends = np.array(inferred, dtype=float).reshape(-1, 2).T
+    starts, ends = np.asarray(inferred, dtype=float).reshape(-1, 2).T
     # Each detection is credited with the dwells from the first that ends
     # after its silence began up to the first that starts at or after its end.
     first = np.searchsorted(dark_ends, np.maximum(starts - dark_threshold, 0.0), side="right")
@@ -359,9 +359,9 @@ def score_detections(
     n_false = int(np.count_nonzero(~hit))
     return DetectionScore(
         recall=int(np.count_nonzero(matched & eligible)) / n_eligible if n_eligible else 1.0,
-        false_discovery_rate=n_false / len(inferred) if inferred else 0.0,
+        false_discovery_rate=n_false / starts.size if starts.size else 0.0,
         max_start_latency=float(latencies.max()) if latencies.size else 0.0,
         n_true_eligible=n_eligible,
-        n_inferred=len(inferred),
+        n_inferred=starts.size,
         n_false=n_false,
     )

@@ -723,6 +723,36 @@ def test_total_time_beyond_float64_photon_spacing_is_rejected(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_run_that_cannot_fit_on_the_disk_is_rejected(tmp_path, capsys, monkeypatch):
+    # samples.csv of 1e15 electrons would take about 21 PB; no file system
+    # holds a tenth of that.
+    monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
+    out = tmp_path / "a" / "run"
+    assert main(["g1", "--n", "1e15", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: the run would write about 2.1e+16 bytes, "
+                          "and a tenth of that is more than the "), err
+    assert f"bytes free under {tmp_path}\n" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_free_space_is_read_under_out(tmp_path, capsys, monkeypatch):
+    # With 1 MB free, a tenth of the 21 MB of a million electrons does not fit.
+    seen = []
+
+    def statvfs(path):
+        seen.append(path)
+        return os.statvfs_result((1000, 1000, 10_000, 1000, 1000, 0, 0, 0, 0, 255))
+
+    monkeypatch.setattr(cli.os, "statvfs", statvfs)
+    assert main(["g1", "--n", "1000000", "--out", str(tmp_path / "big")]) == 1
+    assert ("about 2.1e+07 bytes, and a tenth of that is more than the 1000000 bytes free "
+            f"under {tmp_path}" in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+    assert main(["g1", "--n", "1000", "--out", str(tmp_path / "small")]) == 0
+    assert seen == [tmp_path, tmp_path]
+
+
 BAD_VALUES = {
     "--n": ["0", "-4", "ten"],
     "--total-time": ["0", "-1e-3", "nan", "inf"],

@@ -124,8 +124,12 @@ def test_running_out_of_memory_exits_3_with_one_error_line(tmp_path, python):
     # The address space is capped 15 MiB above the child's size after import.
     # A million-second record has about 667,000 dwells, and its trajectory's
     # lengths, starts and ends (5 MiB each) and their temporaries do not fit.
-    code = ("import resource, sys\n"
+    # The child's disk is taken to hold the record's 6 TB of photons.csv, so
+    # that memory, not room, stops the run.
+    code = ("import os, resource, sys\n"
             "import slitlab.cli as cli\n"
+            "roomy = os.statvfs_result((1, 1, 0, 0, 2**62, 0, 0, 0, 0, 255))\n"
+            "cli.os.statvfs = lambda path: roomy\n"
             "with open('/proc/self/status') as fh:\n"
             "    size = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))\n"
             "limit = size * 1024 + 15 * 2**20\n"
@@ -152,6 +156,22 @@ def test_a_file_size_limit_exits_3_and_leaves_nothing(tmp_path, python):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: io failure: "), proc.stderr
     assert f"[Errno {errno.EFBIG}]" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_file_that_cannot_fit_under_the_size_limit_is_rejected(tmp_path, python):
+    # photons.csv of a 1,000 s record would take about 600 MB; a tenth of
+    # that is past the 10 MB limit, so the run is refused before any work.
+    code = ("import resource, signal, sys\n"
+            "import slitlab.cli as cli\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (10_000_000, 10_000_000))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = python("-c", code, "shelving", "--total-time", "1000", "--out", str(tmp_path / "run"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ("error: invalid config: photons.csv would take about 6e+08 bytes, "
+                           "and a tenth of that is more than the file size limit of "
+                           "10000000 bytes\n")
     assert list(tmp_path.iterdir()) == []
 
 

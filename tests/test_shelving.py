@@ -313,11 +313,11 @@ def photon_records(draw):
 class TestDetectJumps:
     def test_empty_record_is_one_long_dark_interval(self):
         record = PhotonRecord(np.empty(0), 10.0)
-        assert detect_jumps(record, 1.0) == [(0.0, 10.0)]
+        assert detect_jumps(record, 1.0).tolist() == [[0.0, 10.0]]
 
     def test_zero_length_record_yields_nothing(self):
         record = PhotonRecord(np.empty(0), 0.0)
-        assert detect_jumps(record, 1.0) == []
+        assert detect_jumps(record, 1.0).shape == (0, 2)
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -328,11 +328,11 @@ class TestDetectJumps:
         # inference begins threshold seconds after the last photon, except
         # at the record start where no photon precedes the silence.
         record = PhotonRecord(np.array([1.0, 2.0]), 3.0)
-        assert detect_jumps(record, 0.5) == [(0.0, 1.0), (1.5, 2.0), (2.5, 3.0)]
+        assert detect_jumps(record, 0.5).tolist() == [[0.0, 1.0], [1.5, 2.0], [2.5, 3.0]]
 
     def test_short_gaps_are_ignored(self):
         record = PhotonRecord(np.array([0.1, 0.2, 0.3, 0.9]), 1.0)
-        assert detect_jumps(record, 0.61) == []
+        assert detect_jumps(record, 0.61).shape == (0, 2)
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf])
     def test_threshold_must_be_finite(self, threshold):
@@ -402,13 +402,47 @@ class TestChunkedDetector:
         detector = JumpDetector(record.total_time, threshold)
         for chunk in chunks:
             detector.feed(chunk)
-        assert detector.finish() == expected
+        np.testing.assert_array_equal(detector.finish(), expected)
 
     def test_no_chunks_is_an_empty_record(self):
-        assert JumpDetector(3.0, 1.0).finish() == [(0.0, 3.0)]
+        assert JumpDetector(3.0, 1.0).finish().tolist() == [[0.0, 3.0]]
         detector = JumpDetector(3.0, 4.0)
         detector.feed(np.empty(0))
-        assert detector.finish() == []
+        assert detector.finish().shape == (0, 2)
+
+    def test_detections_are_a_read_only_float64_array(self):
+        detector = JumpDetector(10.0, 1.0)
+        detector.feed(np.array([2.0, 2.5]))
+        found = detector.finish()
+        # finish returns a copy, so the detector can still be fed.
+        detector.feed(np.array([4.0]))
+        cases = [(found, [[0.0, 2.0], [3.5, 10.0]]),
+                 (detector.finish(), [[0.0, 2.0], [3.5, 4.0], [5.0, 10.0]]),
+                 (detect_jumps(PhotonRecord(np.array([0.5]), 1.0), 1.0), [])]
+        for detections, expected in cases:
+            assert detections.dtype == np.float64 and detections.shape == (len(expected), 2)
+            assert not detections.flags.writeable
+            assert detections.tolist() == expected
+
+    def test_detections_take_16_bytes_each(self):
+        # Every gap of this record is a detection: 100,000, fed as the
+        # command line feeds them.  Each is held as its start and end, and
+        # finish copies them once; as tuples in a list they took 112 B.
+        times = np.arange(0.0, 200_000.0, 2.0)
+        tracemalloc.start()
+        try:
+            detector = JumpDetector(200_000.0, 1.0)
+            for start in range(0, times.size, 16_384):
+                detector.feed(times[start:start + 16_384])
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            found = detector.finish()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 100_000
+        assert held <= 24 * len(found), held / len(found)
+        assert peak <= 40 * len(found), peak / len(found)
 
     @pytest.mark.parametrize("total_time", [float("nan"), float("inf"), -1.0])
     def test_total_time_must_be_finite_and_nonnegative(self, total_time):
@@ -426,7 +460,8 @@ class TestChunkedDetector:
             detector.feed(chunk)
         streamed = detector.finish()
         rng.bit_generator.state = photon_state
-        assert streamed == detect_jumps(emit_photons(traj, rates, rng), threshold)
+        np.testing.assert_array_equal(streamed, detect_jumps(emit_photons(traj, rates, rng),
+                                                             threshold))
         assert len(streamed) > 5
 
 
@@ -459,6 +494,33 @@ class TestDetectorAgainstGroundTruth:
         expected = n_gaps * 1e-4
         assert expected / 2 <= len(inferred) <= expected * 2
 
+    def test_false_detections_follow_the_finite_dwell_law(self):
+        # A false detection is a gap of more than tau between photons of one
+        # bright dwell.  The n photons of a dwell of length D are uniform in
+        # it, so each of its n - 1 gaps exceeds tau with chance (1 - tau/D)^n
+        # (none can when D <= tau).  The sum over the dwells of criterion 8's
+        # records is the expected count; the observed one is Poisson about
+        # it.  The seeds and the bound |z| <= 3 are fixed in advance.
+        rates = VSystemRates(2000.0, 20.0, 2.0)
+        tau = dark_threshold_for_false_rate(rates, 1e-4)
+        observed, expected = 0, 0.0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            traj = simulate_trajectory(rates, 5650.0, rng)
+            detector = JumpDetector(traj.total_time, tau)
+            firsts, counts = [], []
+            for chunk in photon_chunks(traj, rates, rng):
+                detector.feed(chunk)
+                firsts.append(chunk[0])
+                counts.append(chunk.size)
+            observed += score_detections(traj, detector.finish(), tau).n_false
+            starts, ends = traj.bounds(IonState.BRIGHT)
+            dwell = np.searchsorted(starts, firsts, side="right") - 1
+            lengths, n = (ends - starts)[dwell], np.array(counts)
+            expected += float(np.sum((n - 1) * np.clip(1 - tau / lengths, 0.0, None) ** n))
+        z = (observed - expected) / np.sqrt(expected)
+        assert abs(z) <= 3, (observed, expected, z)
+
     def test_detection_lags_follow_the_exponential_law(self):
         # A photon-bounded detection starts tau after its silence began, at
         # the last photon before the shelving.  The gap E from that photon to
@@ -476,7 +538,7 @@ class TestDetectorAgainstGroundTruth:
             detector = JumpDetector(traj.total_time, tau)
             for chunk in photon_chunks(traj, rates, rng):
                 detector.feed(chunk)
-            starts, ends = np.array(detector.finish()).reshape(-1, 2).T
+            starts, ends = detector.finish().T
             dark_starts, dark_ends = traj.bounds(IonState.DARK)
             # score_detections' match: the first dark dwell ending after the
             # silence began, if it starts before the detection ends.
@@ -545,6 +607,7 @@ def score_by_pointers(traj, inferred, dark_threshold):
     """score_detections as two hand-advanced pointers over the sorted
     detections: the reference its searches must match bit for bit."""
     true_dark = list(zip(*(bound.tolist() for bound in traj.bounds(D))))
+    inferred = inferred.tolist()
     matched, latencies, n_false, j = [False] * len(true_dark), [], 0, 0
     for start, end in sorted(inferred):
         silence_start = max(start - dark_threshold, 0.0)
@@ -577,6 +640,6 @@ def test_score_matches_the_pointer_reference(seed):
     edges = np.column_stack(traj.bounds()).ravel()  # each dwell's start, then its end
     starts = rng.choice(np.concatenate([edges, rng.uniform(0, traj.total_time, 8)]), 20)
     lengths = rng.choice([0.0, tau, 1e-9, rng.exponential()], 20)
-    arbitrary = list(zip(starts.tolist(), (starts + lengths).tolist()))
-    for inferred in (detected, arbitrary, detected + arbitrary):
+    arbitrary = np.column_stack((starts, starts + lengths))
+    for inferred in (detected, arbitrary, np.concatenate((detected, arbitrary))):
         assert score_detections(traj, inferred, tau) == score_by_pointers(traj, inferred, tau)
