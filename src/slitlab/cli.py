@@ -435,7 +435,8 @@ def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
     density column of its probability times its branch density (hole A's,
     then hole B's, reached by a sighting in g2 and by a null observation in
     g3).  Chi-square fields are null when too few arrivals fall in the
-    window for the test, and the sampled visibility when none falls in its.
+    window for the test, and the sampled visibility and its p-value when
+    none falls in its.
     """
     geom = config.geometry()
     illumination = _ILLUMINATION[config.experiment]
@@ -476,6 +477,7 @@ def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
         "visibility_sampled": fringes.finish() if fringes.arrivals else None,
         "visibility_window_arrivals": fringes.arrivals,
         "visibility_noise_floor": 2 / math.sqrt(fringes.arrivals) if fringes.arrivals else None,
+        "visibility_p_no_fringes": fringes.p_no_fringes() if fringes.arrivals else None,
         "chi2_bins": n_bins,
     }
     for field in ("statistic", "dof", "p_value"):

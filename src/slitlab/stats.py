@@ -375,6 +375,7 @@ class FringeVisibility:
     the harmonic orthogonal to the envelope), twice the modulus of the mean
     phase factor at the fringe frequency estimates (P_max-P_min)/(P_max+P_min),
     free of the upward bias that counting noise gives histogram extrema.
+    ``p_no_fringes`` gives the chance of a contrast as high with no fringes.
     """
 
     def __init__(self, geometry: SlitGeometry) -> None:
@@ -391,6 +392,17 @@ class FringeVisibility:
         if not self.arrivals:
             raise ValueError("no positions inside the central fringe window")
         return float(2 * np.abs(self._harmonic / self.arrivals))
+
+    def p_no_fringes(self) -> float:
+        """The Rayleigh test's p-value, exp(-|S|^2/N) = exp(-N v^2/4).
+
+        S is the sum of the N phase factors and v = ``finish()``.  With no
+        fringes, 2|S|^2/N is chi-square with two degrees of freedom for large
+        N (Mardia & Jupp, *Directional Statistics*, 2000, section 6.3.1).
+        Strong fringes underflow it to 0.0, which raises nothing.
+        """
+        v = self.finish()
+        return math.exp(-self.arrivals * v * v / 4)
 
 
 def fringe_visibility_from_positions(sample: PositionSample) -> float:

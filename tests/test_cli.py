@@ -902,6 +902,28 @@ def test_visibility_sampled_is_null_without_central_arrivals(tmp_path, monkeypat
     assert summary["chi2_p_value"] is None
 
 
+@pytest.mark.parametrize("experiment", cli.TWO_HOLE_EXPERIMENTS)
+def test_visibility_p_no_fringes_is_the_rayleigh_tail(tmp_path, experiment):
+    out = tmp_path / "run"
+    assert main([experiment, "--n", "20000", "--seed", "7", "--out", str(out)]) == 0
+    summary = read_summary(out)
+    arrivals, v = summary["visibility_window_arrivals"], summary["visibility_sampled"]
+    assert summary["visibility_p_no_fringes"] == math.exp(-arrivals * v * v / 4)
+    if experiment in ("g1", "g3_early_off"):
+        # With fringes exp(-N v^2/4) underflows, and the run raises nothing.
+        assert summary["visibility_p_no_fringes"] == 0.0
+
+
+def test_visibility_p_no_fringes_is_null_without_central_arrivals(tmp_path, monkeypatch):
+    def far_arrival(config, geom, n, rng):
+        yield np.full(n, cli.OUTCOME_ORDER.index(cli.OutcomeTag.NOT_SEEN)), np.full(n, 0.1)
+
+    monkeypatch.setattr(cli.measurement, "arrival_blocks", far_arrival)
+    out = tmp_path / "run"
+    assert main(["g1", "--n", "1", "--out", str(out)]) == 0
+    assert read_summary(out)["visibility_p_no_fringes"] is None
+
+
 # sha256 of the artifacts at --n 20000 --seed 7.  A change to the sampler,
 # the chi-square policy or the writer that alters any output byte fails
 # here; update a digest only for an intended change of output.
@@ -909,22 +931,22 @@ PINNED_SHA256 = {
     "g1": {
         "density.csv": "dc7c0a5dc35c2611844d5eace004a9300c4ec506bc18d0df2d351981ad8763a8",
         "samples.csv": "472afa10de4f24be412d8ff5e93ff809f09743a902af673a68937952e63d4e4c",
-        "summary.json": "d33e903b49747ebfb932fc23563651aebde0cd5734c1f7e11ab8dc61b894c2bc",
+        "summary.json": "5fa62662611c854f3b1306c599a6aaed997bf94a2a7414b43803b104bd45b820",
     },
     "g2": {
         "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
         "samples.csv": "7ce0f45eee4e2de8c4f3242717743416bbfc03f55244a29ca4781404305ba1ff",
-        "summary.json": "7fc01864c69d33c40d0b1bf47c19af108caf951c3ec5ba63e928220298e1dd0f",
+        "summary.json": "fa5f03ff7071f8a3be0c07d654b7b45e8fc4e8d0d9de50228d4d5129b3ec8ac6",
     },
     "g3": {
         "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
         "samples.csv": "a39c16f4ccc0fb8c1e21594c11a09f28f3e8523f16ddc86602d03c0e4a991d8e",
-        "summary.json": "71007507f8c8cb5ff980e8f551e593e23148c5143186dff9a280d24c28cb57d4",
+        "summary.json": "97c798bb9d9575d0aef9a7b119a79c1455c2eddcabe35ab5cd012b9cde5832b8",
     },
     "g3_early_off": {
         "density.csv": "dc7c0a5dc35c2611844d5eace004a9300c4ec506bc18d0df2d351981ad8763a8",
         "samples.csv": "472afa10de4f24be412d8ff5e93ff809f09743a902af673a68937952e63d4e4c",
-        "summary.json": "1192e1ec8fd90e64eb7ed4357c58afde5f19339bff074a2b46078b86938b35cd",
+        "summary.json": "2eb82f9a6dd6e7fe0343a1307ddd7b9283bd3727bee19020bdfbb8408fe5774c",
     },
 }
 

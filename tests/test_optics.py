@@ -244,7 +244,9 @@ class TestFresnelOracle:
     def test_nan_field_raises_and_is_not_cached(self, monkeypatch):
         # A NaN relative change must fail the node-doubling check, not pass it.
         optics._hole_field.cache_clear()
+        calls = []
         def nan_field(geom, hole, nodes):
+            calls.append(nodes)
             return np.full(geom.grid_points, np.nan + 0j)
 
         monkeypatch.setattr(optics, "_fresnel_field", nan_field)
@@ -252,6 +254,47 @@ class TestFresnelOracle:
             with pytest.raises(QuadratureConvergenceError, match="hole A.*relative change nan"):
                 fresnel_oracle(GEOM, (Hole.A,))
             assert optics._hole_field.cache_info().currsize == 0
+            # It raises at the first check, not after doubling up to the cap.
+            assert len(calls) == 2
+        finally:
+            optics._hole_field.cache_clear()
+
+
+def adaptive_rule_geometries():
+    """Criterion 6's 20 geometries, then the default one."""
+    rng = np.random.default_rng(42)
+    return [random_far_field_geometry(rng) for _ in range(20)] + [GEOM]
+
+
+class TestAdaptiveRule:
+    def test_matches_the_largest_fixed_rule(self):
+        for geom in adaptive_rule_geometries():
+            x = geom.grid
+            for hole in Hole:
+                # The 512-node field, rescaled to the weight as _hole_field rescales.
+                fixed = optics._fresnel_field(geom, hole, 2 * optics.ORACLE_NODES_PER_HOLE)
+                target = geom.hole_width(hole) / (geom.hole_width_a + geom.hole_width_b)
+                fixed = fixed * np.sqrt(target / np.trapezoid(np.abs(fixed) ** 2, x))
+                diff = optics._hole_field(geom, hole) - fixed
+                err = np.sqrt(np.trapezoid(np.abs(diff) ** 2, x) / target)
+                assert err <= 1e-12, (geom, hole, err)
+
+    def test_stops_doubling_once_the_field_converges(self, monkeypatch):
+        fresnel_field = optics._fresnel_field
+        calls = []
+        def recorded(geom, hole, nodes):
+            calls.append(nodes)
+            return fresnel_field(geom, hole, nodes)
+
+        monkeypatch.setattr(optics, "_fresnel_field", recorded)
+        optics._hole_field.cache_clear()
+        try:
+            for geom in adaptive_rule_geometries():
+                for hole in Hole:
+                    calls.clear()
+                    optics._hole_field(geom, hole)
+                    expected = [16, 32, 64] if geom is GEOM else [16, 32]
+                    assert calls == expected, (geom, hole)
         finally:
             optics._hole_field.cache_clear()
 

@@ -495,6 +495,19 @@ def test_windowed_chi2_p_values_are_uniform(illumination):
     assert_uniform(p_values)
 
 
+def test_fringe_visibility_p_values_are_uniform():
+    # g2 shows no fringes, so the Rayleigh test's p-value is uniform; 1e4
+    # electrons a seed, as for the chi-square p-values.
+    p_values = []
+    for seed in CALIBRATION_SEEDS:
+        fringes = FringeVisibility(GEOM)
+        for _, positions in arrival_blocks(Illumination.BOTH_HOLES, GEOM, 10_000,
+                                           np.random.default_rng(seed)):
+            fringes.feed(positions)
+        p_values.append(fringes.p_no_fringes())
+    assert_uniform(p_values)
+
+
 @pytest.mark.parametrize("state", IonState, ids=lambda state: state.value)
 def test_ks_exponential_p_values_are_uniform(state):
     # About 33 complete dwells of each kind in 100 s.
@@ -614,3 +627,15 @@ class TestFringeVisibilityEstimator:
         assert visibility.arrivals == np.count_nonzero(np.abs(sample.positions) <= half)
         assert visibility.finish() == pytest.approx(
             fringe_visibility_from_positions(sample), rel=1e-12)
+
+    def test_p_no_fringes_underflows_to_zero_with_fringes(self):
+        visibility = FringeVisibility(GEOM)
+        visibility.feed(sample_positions(OFF_DENSITY, 10_000, np.random.default_rng(22)).positions)
+        with np.errstate(all="raise"):
+            assert visibility.p_no_fringes() == 0.0
+
+    def test_p_no_fringes_needs_an_arrival(self):
+        visibility = FringeVisibility(GEOM)
+        visibility.feed(np.array([0.19]))
+        with pytest.raises(ValueError, match="window"):
+            visibility.p_no_fringes()
