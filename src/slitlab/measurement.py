@@ -101,9 +101,7 @@ def _analytic_density(geom: SlitGeometry, kind: str) -> RealDensity:
         values = np.abs(psi_b.values) ** 2 / psi_b.weight
     else:  # pragma: no cover - internal misuse
         raise ValueError(f"unknown density kind {kind!r}")
-    x = geom.grid
-    values = values / np.trapezoid(values, x)
-    return RealDensity(geom, values, float(np.trapezoid(values, x)))
+    return RealDensity(geom, values / np.trapezoid(values, geom.grid))
 
 
 # The sampler's CDF over the branch densities of a regime's possible

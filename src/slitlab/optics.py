@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -168,75 +168,69 @@ def _trapezoid(values: np.ndarray, x: np.ndarray) -> float:
     return float(np.trapezoid(values, x))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    a.flags.writeable = False
-    return a
+def _readonly(a, dtype=None) -> np.ndarray:
+    """A read-only view of ``a`` as an array of ``dtype``, for a record to hold: ``a``
+    keeps its flags, and is copied only if it is not already an array of ``dtype``."""
+    view = np.asarray(a, dtype).view()
+    view.flags.writeable = False
+    return view
 
 
+@dataclass(frozen=True, eq=False)
 class TransverseAmplitude:
     """Complex screen amplitude sampled on the backstop grid.
 
-    ``weight`` is the trapezoid integral of |values|^2 over the grid and is
-    validated against it at construction.  Zero amplitudes are permitted
-    (weight 0); weights above ~1 + 1e-3 are rejected.
+    ``values`` is a read-only view of the array given; ``weight`` is stored
+    (a single hole's is its exact aperture share) and checked against the
+    trapezoid integral of |values|^2 over the grid.  Zero amplitudes are
+    permitted (weight 0); weights above ~1 + 1e-3 are rejected.
     """
 
-    __slots__ = ("geometry", "values", "weight")
+    geometry: SlitGeometry
+    values: np.ndarray
+    weight: float
 
-    def __init__(self, geometry: SlitGeometry, values: np.ndarray, weight: float):
-        values = _readonly(np.asarray(values, dtype=complex))
-        if values.shape != geometry.grid.shape:
+    def __post_init__(self) -> None:
+        values = _readonly(self.values, complex)
+        if values.shape != self.geometry.grid.shape:
             raise ValueError("amplitude values must match the geometry grid")
-        integral = _trapezoid(np.abs(values) ** 2, geometry.grid)
-        if abs(integral - weight) > WEIGHT_INTEGRAL_RTOL * max(abs(weight), 1e-30):
+        integral = _trapezoid(np.abs(values) ** 2, self.geometry.grid)
+        if abs(integral - self.weight) > WEIGHT_INTEGRAL_RTOL * max(abs(self.weight), 1e-30):
             raise ValueError(
-                f"stored weight {weight!r} does not match integrated |psi|^2 {integral!r}"
+                f"stored weight {self.weight!r} does not match integrated |psi|^2 {integral!r}"
             )
-        if weight < 0 or weight > WEIGHT_CEILING:
-            raise ValueError(f"weight {weight!r} outside [0, {WEIGHT_CEILING}]")
-        object.__setattr__(self, "geometry", geometry)
+        if self.weight < 0 or self.weight > WEIGHT_CEILING:
+            raise ValueError(f"weight {self.weight!r} outside [0, {WEIGHT_CEILING}]")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weight", float(weight))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransverseAmplitude is immutable")
+        object.__setattr__(self, "weight", float(self.weight))
 
 
+@dataclass(frozen=True, eq=False)
 class RealDensity:
     """Nonnegative screen density on a grid (full geometry grid or a slice).
 
-    ``total`` is the trapezoid integral of ``values`` over ``x`` and is
-    validated against it at construction.
+    ``x`` defaults to the geometry's grid; ``values`` and ``x`` are held as
+    read-only views of the arrays given.  ``total`` is computed: the
+    trapezoid integral of ``values`` over ``x``.
     """
 
-    __slots__ = ("geometry", "x", "values", "total")
+    geometry: SlitGeometry
+    values: np.ndarray
+    x: np.ndarray | None = None
+    total: float = field(init=False)
 
-    def __init__(
-        self,
-        geometry: SlitGeometry,
-        values: np.ndarray,
-        total: float,
-        x: np.ndarray | None = None,
-    ):
-        x = geometry.grid if x is None else _readonly(np.asarray(x, dtype=float))
-        values = _readonly(np.asarray(values, dtype=float))
+    def __post_init__(self) -> None:
+        x = self.geometry.grid if self.x is None else _readonly(self.x, float)
+        values = _readonly(self.values, float)
         if values.shape != x.shape:
             raise ValueError("density values must match the grid")
         if values.size < 2:
             raise ValueError("density needs at least two grid points")
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
-        integral = _trapezoid(values, x)
-        if abs(integral - total) > WEIGHT_INTEGRAL_RTOL * max(abs(total), 1e-30):
-            raise ValueError(f"stored total {total!r} does not match integral {integral!r}")
-        object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "total", float(total))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealDensity is immutable")
+        object.__setattr__(self, "total", _trapezoid(values, x))
 
     def restrict(self, lo: float, hi: float) -> "RealDensity":
         """Condition on a window: slice to grid points in [lo, hi], renormalize.
@@ -254,8 +248,7 @@ class RealDensity:
         mass = _trapezoid(values, x)
         if mass <= 0:
             raise ValueError("window carries no probability mass")
-        values = values / mass
-        return RealDensity(self.geometry, values, _trapezoid(values, x), x=x)
+        return RealDensity(self.geometry, values / mass, x=x)
 
 
 def single_hole_amplitude(geom: SlitGeometry, hole: Hole) -> TransverseAmplitude:

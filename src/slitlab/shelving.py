@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optics import _readonly
+
 __all__ = [
     "DetectionScore",
     "IonState",
@@ -111,8 +113,7 @@ class TelegraphTrajectory:
     total_time: float
 
     def __post_init__(self) -> None:
-        lengths = np.asarray(self.intervals, dtype=float)
-        lengths.flags.writeable = False
+        lengths = _readonly(self.intervals, float)
         object.__setattr__(self, "intervals", lengths)
         if lengths.ndim != 1 or not lengths.size:
             raise ValueError("trajectory needs a 1-D array of at least one interval")
@@ -173,8 +174,7 @@ class PhotonRecord:
     total_time: float
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.arrival_times, dtype=float)
-        times.flags.writeable = False
+        times = _readonly(self.arrival_times, float)
         object.__setattr__(self, "arrival_times", times)
         _check_total_time(self.total_time)
         _check_arrivals(times, self.total_time)

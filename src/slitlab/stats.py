@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .optics import RealDensity, SlitGeometry
+from .optics import RealDensity, SlitGeometry, _readonly
 
 __all__ = [
     "ChiSquareResult",
@@ -61,6 +61,8 @@ class GriddedCdf:
     """
 
     def __init__(self, *densities: RealDensity):
+        if not densities:
+            raise ValueError("a GriddedCdf needs at least one density")
         x = densities[0].x
         if any(not np.array_equal(density.x, x) for density in densities[1:]):
             raise ValueError("the densities do not share one grid")
@@ -72,12 +74,14 @@ class GriddedCdf:
         self.cumulative = cumulative[0] if len(densities) == 1 else cumulative
 
     def cdf(self, q) -> np.ndarray:
+        if self.cumulative.ndim > 1:
+            raise ValueError(f"cdf takes one density; this GriddedCdf holds {len(self.cumulative)}")
         return np.interp(q, self.x, self.cumulative)
 
     def ppf(self, u, rows=None) -> np.ndarray:
         """``np.interp(u, cumulative, x)``, bit for bit, by indexed search;
         with several densities, each key ``u`` inverts its own row of
-        ``cumulative``, given by ``rows``.
+        ``cumulative``, given by ``rows`` in [0, number of densities).
 
         A guide table over u (Chen & Asau 1974) gives the interval ``j`` of
         each key whose cell holds no node of its density straight away, and
@@ -86,6 +90,10 @@ class GriddedCdf:
         ``np.interp``: they include every key at or below 0, at or above the
         top node, or NaN, and so all of numpy's special cases.
         """
+        n_densities = len(np.atleast_2d(self.cumulative))
+        if (n_densities > 1 if rows is None
+                else np.size(rows) and not 0 <= np.min(rows) <= np.max(rows) < n_densities):
+            raise ValueError(f"each key needs a row in [0, {n_densities}), its density's index")
         inverse_width, guide, slopes, nodes, top = self._guide
         keys = np.asarray(u, dtype=float).ravel()
         # NaN and the keys above the top land in the top node's cell, the
@@ -162,8 +170,7 @@ class PositionSample:
     geometry: SlitGeometry
 
     def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=float)
-        positions.flags.writeable = False
+        positions = _readonly(self.positions, float)
         object.__setattr__(self, "positions", positions)
         # Written so that a NaN position, which every comparison fails, is rejected.
         if positions.size and not (
@@ -179,8 +186,8 @@ class Histogram:
     n_total: int
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        edges = _readonly(self.bin_edges, float)
+        counts = _readonly(self.counts, np.int64)
         if edges.ndim != 1 or edges.size != counts.size + 1:
             raise ValueError("need exactly one more edge than bins")
         if np.any(np.diff(edges) <= 0):
@@ -189,8 +196,6 @@ class Histogram:
             raise ValueError("counts must be nonnegative")
         if int(counts.sum()) != self.n_total:
             raise ValueError("counts must sum to n_total")
-        edges.flags.writeable = False
-        counts.flags.writeable = False
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
 

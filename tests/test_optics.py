@@ -1,5 +1,7 @@
 """Closed-form screen amplitudes against the brute-force diffraction quadrature."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from slitlab.optics import (
     superpose,
     visibility,
 )
+from slitlab.shelving import IonState, PhotonRecord, TelegraphTrajectory
+from slitlab.stats import Histogram, PositionSample
 
 GEOM = default_geometry()
 
@@ -381,20 +385,20 @@ class TestVisibility:
         geom = make_geometry(grid_points=8001)
         x = geom.grid
         values = np.cos(np.pi * x / geom.fringe_period) ** 2
-        dens = RealDensity(geom, values, float(np.trapezoid(values, x)))
+        dens = RealDensity(geom, values)
         period = geom.fringe_period
         assert visibility(dens, (-period, period)) == pytest.approx(1.0, abs=1e-6)
 
     def test_constant_density_has_zero_visibility(self):
         geom = make_geometry(grid_min=0.0, grid_max=1.0)
-        dens = RealDensity(geom, np.ones(geom.grid_points), 1.0)
+        dens = RealDensity(geom, np.ones(geom.grid_points))
         assert visibility(dens, (0.2, 0.8)) == 0.0
 
     def test_incoherent_sum_visibility_is_envelope_bound(self):
         psi_a = single_hole_amplitude(GEOM, Hole.A)
         psi_b = single_hole_amplitude(GEOM, Hole.B)
         values = np.abs(psi_a.values) ** 2 + np.abs(psi_b.values) ** 2
-        dens = RealDensity(GEOM, values, float(np.trapezoid(values, GEOM.grid)))
+        dens = RealDensity(GEOM, values)
         period = GEOM.fringe_period
         vis = visibility(dens, (-period, period))
         # No fringes here, only the sinc^2 envelope rolling off across the
@@ -407,13 +411,13 @@ class TestVisibility:
 
     def test_window_too_narrow_rejected(self):
         psi = single_hole_amplitude(GEOM, Hole.A)
-        dens = RealDensity(GEOM, np.abs(psi.values) ** 2, psi.weight)
+        dens = RealDensity(GEOM, np.abs(psi.values) ** 2)
         with pytest.raises(ValueError, match="narrow"):
             visibility(dens, (-0.5 * GEOM.fringe_period, 0.5 * GEOM.fringe_period))
 
     def test_window_outside_grid_rejected(self):
         psi = single_hole_amplitude(GEOM, Hole.A)
-        dens = RealDensity(GEOM, np.abs(psi.values) ** 2, psi.weight)
+        dens = RealDensity(GEOM, np.abs(psi.values) ** 2)
         with pytest.raises(ValueError, match="beyond"):
             visibility(dens, (0.15, 0.25))
 
@@ -433,16 +437,53 @@ class TestRealDensity:
     def test_negative_values_rejected(self):
         values = np.full(GEOM.grid_points, -1.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            RealDensity(GEOM, values, -0.4)
+            RealDensity(GEOM, values)
 
-    def test_total_must_match_integral(self):
-        values = np.ones(GEOM.grid_points)
-        with pytest.raises(ValueError, match="total"):
-            RealDensity(GEOM, values, 1.0)  # true integral is 0.4
+    def test_total_is_the_trapezoid_integral_bit_for_bit(self):
+        psi = superpose(single_hole_amplitude(GEOM, Hole.A), single_hole_amplitude(GEOM, Hole.B))
+        values = np.abs(psi.values) ** 2
+        dens = RealDensity(GEOM, values)
+        assert dens.total == float(np.trapezoid(values, GEOM.grid))
+        sub = dens.restrict(-0.05, 0.05)
+        assert sub.total == float(np.trapezoid(sub.values, sub.x))
 
     def test_restrict_renormalizes(self):
         psi = superpose(single_hole_amplitude(GEOM, Hole.A), single_hole_amplitude(GEOM, Hole.B))
-        dens = RealDensity(GEOM, np.abs(psi.values) ** 2, psi.weight)
+        dens = RealDensity(GEOM, np.abs(psi.values) ** 2)
         sub = dens.restrict(-0.05, 0.05)
         assert sub.total == pytest.approx(1.0, rel=1e-12)
         assert sub.x[0] >= -0.05 - 1e-9 and sub.x[-1] <= 0.05 + 1e-9
+
+
+# Per record: the caller's arrays, the record built from them, and the
+# fields that hold them, in the same order.  Each array already has the
+# dtype its record stores, so none needs a copy.
+RECORDS = {
+    "TransverseAmplitude": (lambda: [np.zeros(GEOM.grid_points, dtype=complex)],
+                            lambda values: TransverseAmplitude(GEOM, values, 0.0), ["values"]),
+    "RealDensity": (lambda: [np.ones(5), np.linspace(0.0, 0.1, 5)],
+                    lambda values, x: RealDensity(GEOM, values, x=x), ["values", "x"]),
+    "PositionSample": (lambda: [np.zeros(3)],
+                       lambda positions: PositionSample(positions, GEOM), ["positions"]),
+    "Histogram": (lambda: [np.array([0.0, 1.0, 2.0]), np.array([1, 2], dtype=np.int64)],
+                  lambda edges, counts: Histogram(edges, counts, 3), ["bin_edges", "counts"]),
+    "TelegraphTrajectory": (lambda: [np.array([1.0, 2.0])],
+                            lambda lengths: TelegraphTrajectory(IonState.BRIGHT, lengths, 3.0),
+                            ["intervals"]),
+    "PhotonRecord": (lambda: [np.array([0.5, 1.5])],
+                     lambda times: PhotonRecord(times, 2.0), ["arrival_times"]),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_hold_read_only_views_of_the_callers_arrays(name):
+    make_arrays, build, fields = RECORDS[name]
+    arrays = make_arrays()
+    record = build(*arrays)
+    for array, field_name in zip(arrays, fields):
+        held = getattr(record, field_name)
+        assert array.flags.writeable
+        assert not held.flags.writeable
+        assert np.shares_memory(held, array)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, fields[0], arrays[0])

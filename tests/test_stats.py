@@ -55,7 +55,7 @@ def gridded_density(values, span=1.0):
     geom = SlitGeometry(hole_separation=5e-6, hole_width_a=width, hole_width_b=width,
                         wall_to_backstop=1.0, de_broglie_wavelength=50e-9 * span,
                         grid_min=0.0, grid_max=span, grid_points=len(values))
-    return RealDensity(geom, values, float(np.trapezoid(values, geom.grid)))
+    return RealDensity(geom, values)
 
 
 def unit_interval_density(values=None, grid_points=2001):
@@ -190,7 +190,7 @@ def stacked_densities_and_keys(draw):
     density, u = draw(densities_and_keys())
     others = [np.resize(cell_values(draw), density.values.size)
               for _ in range(draw(st.integers(1, 2)))]
-    return [density, *(RealDensity(density.geometry, values, float(np.trapezoid(values, density.x)))
+    return [density, *(RealDensity(density.geometry, values)
                        for values in others)], u
 
 
@@ -237,6 +237,23 @@ class TestGriddedCdfPpf:
         u = np.random.default_rng(6).random((3, 4))
         assert cdf.ppf(u).shape == (3, 4)
         assert cdf.ppf(u).tobytes() == np.interp(u, cdf.cumulative, cdf.x).tobytes()
+
+    def test_needs_a_density(self):
+        with pytest.raises(ValueError, match="at least one density"):
+            GriddedCdf()
+
+    def test_stacked_ppf_needs_rows(self):
+        with pytest.raises(ValueError, match=r"needs a row in \[0, 2\)"):
+            GriddedCdf(OFF_DENSITY, BOTH_DENSITY).ppf(np.array([0.5]))
+
+    @pytest.mark.parametrize("row", [2, 5, -1])
+    def test_rows_must_index_the_densities(self, row):
+        with pytest.raises(ValueError, match=r"needs a row in \[0, 2\)"):
+            GriddedCdf(OFF_DENSITY, BOTH_DENSITY).ppf(np.array([0.5, 0.5]), np.array([0, row]))
+
+    def test_cdf_takes_one_density(self):
+        with pytest.raises(ValueError, match="one density"):
+            GriddedCdf(OFF_DENSITY, BOTH_DENSITY).cdf(np.array([0.0]))
 
 
 class TestHistogram:
