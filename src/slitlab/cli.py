@@ -8,13 +8,14 @@ Experiments
     shelving      telegraph fluorescence of a single ion + jump detector
 
 Each run writes CSV data (density.csv and samples.csv, or trajectory.csv
-and photons.csv), a flat summary.json of metrics, and config_resolved.txt
-echoing every resolved parameter including the seed.  Reruns with the
-same configuration are byte-identical.  --out must be a new path or an
-empty directory; a run writes into a staging directory beside it and
-renames that into place only when every artifact is complete.  A run
-that fails, or is stopped by Ctrl-C or SIGTERM (exit status 143), removes
-its staging directory and leaves no --out behind.
+and photons.csv), a flat summary.json of metrics, and config_resolved.txt,
+a config file of the experiment, --out and every parameter, the seed
+included.  Reruns with the same configuration are byte-identical, and
+"slitlab --config RUN/config_resolved.txt --out NEW" replays RUN.  --out
+must be a new path or an empty directory; a run writes into a staging
+directory beside it and renames that into place only when every artifact
+is complete.  A run that fails, or is stopped by Ctrl-C or SIGTERM (exit
+status 143), removes its staging directory and leaves no --out behind.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ class RunConfig:
             raise ConfigError(f"--out {out} does not end in a directory name")
         if "\0" in str(out):
             raise ConfigError(f"--out {str(out)!r} holds a NUL byte")
+        if str(out).splitlines() != [str(out)]:  # its echo would not read back as one line
+            raise ConfigError(f"--out {str(out)!r} holds a line break")
         try:
             # A lookup finds a name too long only under an existing parent,
             # so each name is measured against the file system of out's
@@ -243,6 +246,7 @@ def _build_parser() -> _Parser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:  # ValueError: a byte not UTF-8, or a NUL in the path
@@ -254,7 +258,12 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_lines:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} given again "
+                              f"(first at line {first_lines[key]})")
+        first_lines[key] = lineno
+        entries[key] = value.strip()
     return entries
 
 
@@ -420,12 +429,16 @@ def _write_summary(path: Path, summary: dict) -> None:
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", newline="")
 
 
-def _write_config_echo(path: Path, entries: dict) -> None:
-    lines = [f"{key}={entries[key]}" for key in sorted(entries)]
-    path.write_text("\n".join(lines) + "\n", newline="")
+def _write_config_echo(path: Path, config: RunConfig) -> None:
+    """Write ``config`` as a config file: a sorted ``key=value`` line for
+    the experiment, --out and each parameter, with ``str`` of its value
+    (a float's text reads back exactly), so that --config replays it."""
+    entries = {"experiment": config.experiment, "out": config.output_dir}
+    entries.update((key, getattr(config, param.name)) for key, param in _PARAMS.items())
+    path.write_text("".join(f"{key}={entries[key]}\n" for key in sorted(entries)), newline="")
 
 
-def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
+def _run_two_hole(config: RunConfig, out: Path) -> dict:
     """g1, g2, g3 and g3_early_off: a sighting outcome per electron, then its position.
 
     Each block of electrons goes to samples.csv and to the statistics in
@@ -487,20 +500,10 @@ def _run_two_hole(config: RunConfig, out: Path) -> tuple[dict, dict]:
         if tag in branches:
             fit, _ = chi2.finish(branches[tag], idx)
             summary[f"chi2_p_value_{tag.value}"] = None if fit is None else fit.p_value
-    echo = {
-        "n": config.n_electrons,
-        "wavelength": config.wavelength,
-        "hole_width": config.hole_width,
-        "separation": config.separation,
-        "distance": config.distance,
-        "grid_min": geom.grid_min,
-        "grid_max": geom.grid_max,
-        "grid_points": geom.grid_points,
-    }
-    return summary, echo
+    return summary
 
 
-def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
+def _run_shelving(config: RunConfig, out: Path) -> dict:
     """The photon record is drawn once, dwell by dwell, and each dwell goes
     to photons.csv and to the jump detector in the same pass.  Memory is set
     by the longest bright dwell, by the trajectory (8 B a dwell, and about
@@ -561,14 +564,7 @@ def _run_shelving(config: RunConfig, out: Path) -> tuple[dict, dict]:
     if dark.size >= 10:
         ks = stats.ks_exponential(dark, rates.deshelve_rate)
         summary["ks_p_value_dark"] = ks.p_value
-    echo = {
-        "total_time": config.total_time,
-        "fluorescence_rate": rates.fluorescence_rate,
-        "shelve_rate": rates.shelve_rate,
-        "deshelve_rate": rates.deshelve_rate,
-        "dark_threshold": threshold,
-    }
-    return summary, echo
+    return summary
 
 
 # About the bytes of repr text a run writes per electron to samples.csv
@@ -655,9 +651,8 @@ def run(config: RunConfig) -> None:
         prefix = _staging_prefix(out.name, os.pathconf(out.parent, "PC_NAME_MAX"))
         staging = Path(tempfile.mkdtemp(prefix=prefix, dir=out.parent))
         with np.errstate(invalid="raise", divide="raise", over="raise"):
-            summary, echo = runner(config, staging)
-        echo.update(experiment=config.experiment, seed=config.seed, out=str(out))
-        _write_config_echo(staging / "config_resolved.txt", echo)
+            summary = runner(config, staging)
+        _write_config_echo(staging / "config_resolved.txt", config)
         _write_summary(staging / "summary.json", summary)
         # mkdtemp makes the directory private; give it mkdir's mode instead.
         umask = os.umask(0)

@@ -391,7 +391,10 @@ class FringeVisibility:
     def feed(self, positions: np.ndarray) -> None:
         selected = positions[np.abs(positions) <= VISIBILITY_HALF_PERIODS * self.period]
         self.arrivals += selected.size
-        self._harmonic += np.sum(np.exp(1j * (2 * np.pi * selected / self.period)))
+        phases = np.exp(1j * (2 * np.pi * selected / self.period))
+        # Summed in arrival order from the carried total (np.sum pairs terms),
+        # so that the total does not depend on where the blocks end.
+        self._harmonic = np.add.accumulate(np.append(self._harmonic, phases))[-1]
 
     def finish(self) -> float:
         if not self.arrivals:

@@ -172,6 +172,58 @@ def test_flag_and_config_key_set_the_same_parameter(tmp_path, flag, key, field, 
     assert getattr(from_flag, field) != getattr(parse_args(["g1", "--out", "x"]), field)
 
 
+def echo_entries(out):
+    """config_resolved.txt's lines by key."""
+    lines = (out / "config_resolved.txt").read_text().splitlines()
+    return dict(line.split("=", 1) for line in lines)
+
+
+def test_config_echo_holds_exactly_the_config_keys(tmp_path):
+    out = tmp_path / "run"
+    assert main(["g1", "--n", "10", "--out", str(out)]) == 0
+    entries = echo_entries(out)
+    assert set(entries) == {"experiment", "out", *(key for _, key, _, _ in RUN_PARAMETERS)}
+    for key, value in entries.items():
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        parse_args(["g1", "--out", "x", "--config", str(cfg)])  # raises on a key it does not take
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["g3", "--n", "100", "--seed", "3"],
+     "distance=1.0\nexperiment=g3\nhole_width=5e-07\nn=100\n"
+     "seed=3\nseparation=5e-06\ntotal_time=30.0\nwavelength=5e-08\n"),
+    (["shelving", "--total-time", "2", "--seed", "3", "--hole-width", "1e-3"],
+     "distance=1.0\nexperiment=shelving\nhole_width=0.001\nn=100000\n"
+     "seed=3\nseparation=5e-06\ntotal_time=2.0\nwavelength=5e-08\n"),
+])
+def test_config_echo_text_is_pinned(tmp_path, argv, text):
+    # Every parameter is echoed, those that the experiment ignores too.
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = (out / "config_resolved.txt").read_text().splitlines(keepends=True)
+    assert lines.pop(4) == f"out={out}\n"
+    assert "".join(lines) == text
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_a_run_replays_from_its_config_echo(tmp_path, experiment):
+    flags = [token for flag, _, _, value in RUN_PARAMETERS for token in (flag, value)]
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    config = parse_args([experiment, *flags, "--out", str(first)])
+    assert main([experiment, *flags, "--out", str(first)]) == 0
+    replay_argv = ["--config", str(first / "config_resolved.txt"), "--out", str(replay)]
+    assert parse_args(replay_argv) == dataclasses.replace(config, output_dir=replay)
+    assert main(replay_argv) == 0
+    assert sorted(path.name for path in replay.iterdir()) == artifact_names(experiment)
+    for name in artifact_names(experiment):
+        if name != "config_resolved.txt":
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+    first_echo, replay_echo = echo_entries(first), echo_entries(replay)
+    assert (first_echo.pop("out"), replay_echo.pop("out")) == (str(first), str(replay))
+    assert first_echo == replay_echo
+
+
 @pytest.mark.parametrize("flag, key, field", [("--n", "n", "n_electrons"), ("--seed", "seed", "seed")])
 @pytest.mark.parametrize("value, expected", [("1e6", 10**6), ("1000000.0", 10**6), ("12e1", 120)])
 def test_int_parameter_takes_a_whole_float_spelling(tmp_path, flag, key, field, value, expected):
@@ -318,6 +370,32 @@ class TestExitCodes:
         assert f"error: invalid config: --out {out!r} holds a NUL byte" in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == (
             [] if source == "flag" else ["run.cfg"])
+
+    @pytest.mark.parametrize("source", ["flag", "code"])
+    @pytest.mark.parametrize("line_break", ["\n", "\u2028"])
+    def test_line_break_in_out_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                               source, line_break):
+        # Its echo's out= line would split, and read back as another path.
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
+        out = tmp_path / f"a{line_break}b"
+        message = f"--out {str(out)!r} holds a line break"
+        if source == "flag":
+            assert main(["g1", "--out", str(out)]) == 1
+            assert f"error: invalid config: {message}" in capsys.readouterr().err
+        else:
+            with pytest.raises(ConfigError) as exc:
+                cli.RunConfig("g1", out)
+            assert str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_key_given_twice_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=10\nseed=1\n n = 20\n")
+        assert main(["g1", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 1
+        assert (f"error: invalid config: {cfg}:3: config key 'n' given again (first at line 1)"
+                in capsys.readouterr().err)
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_second_name_for_n_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -931,22 +1009,22 @@ PINNED_SHA256 = {
     "g1": {
         "density.csv": "dc7c0a5dc35c2611844d5eace004a9300c4ec506bc18d0df2d351981ad8763a8",
         "samples.csv": "472afa10de4f24be412d8ff5e93ff809f09743a902af673a68937952e63d4e4c",
-        "summary.json": "5fa62662611c854f3b1306c599a6aaed997bf94a2a7414b43803b104bd45b820",
+        "summary.json": "1d9de19e53aad8b8402ccb78f9287795596baf2a557732d3294d9ed6c769beba",
     },
     "g2": {
         "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
         "samples.csv": "7ce0f45eee4e2de8c4f3242717743416bbfc03f55244a29ca4781404305ba1ff",
-        "summary.json": "fa5f03ff7071f8a3be0c07d654b7b45e8fc4e8d0d9de50228d4d5129b3ec8ac6",
+        "summary.json": "20e7aa4ce630d2e45a4e529ad33eb626873a8faa12f1341a91761fffc0fc4e41",
     },
     "g3": {
         "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
         "samples.csv": "a39c16f4ccc0fb8c1e21594c11a09f28f3e8523f16ddc86602d03c0e4a991d8e",
-        "summary.json": "97c798bb9d9575d0aef9a7b119a79c1455c2eddcabe35ab5cd012b9cde5832b8",
+        "summary.json": "59fdaf8a1091e90b87f77d6d90e66cb75018fd19b9bb1eb79634b0418156be97",
     },
     "g3_early_off": {
         "density.csv": "dc7c0a5dc35c2611844d5eace004a9300c4ec506bc18d0df2d351981ad8763a8",
         "samples.csv": "472afa10de4f24be412d8ff5e93ff809f09743a902af673a68937952e63d4e4c",
-        "summary.json": "2eb82f9a6dd6e7fe0343a1307ddd7b9283bd3727bee19020bdfbb8408fe5774c",
+        "summary.json": "c67818f9f6e3617b2404fb2e002de6e8f18c08778e325074d169c787ebf401ca",
     },
 }
 
@@ -959,19 +1037,22 @@ def test_artifacts_match_pinned_digests(tmp_path, experiment):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-# sha256 of the tables at --n 200003 --seed 7: twelve full 16,384-row blocks
-# and a ragged one of 3,395 rows, taken from the one-shot sampler before
-# arrivals were drawn block by block.  A stream whose blocks do not join
-# into the one-shot draws fails here.
+# sha256 of the artifacts at --n 200003 --seed 7: twelve full 16,384-row
+# blocks and a ragged one of 3,395 rows.  The tables were taken from the
+# one-shot sampler before arrivals were drawn block by block, so a stream
+# whose blocks do not join into the one-shot draws fails here;
+# summary.json was taken once its visibility was summed in arrival order.
 MULTI_BLOCK_N = 200_003
 MULTI_BLOCK_PINNED_SHA256 = {
     "g2": {
         "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
         "samples.csv": "fde026c15a769e96d1a97401e98094764c7ef8e55b679d52040a8238ee107965",
+        "summary.json": "b476c23d7b6f344b82280dbd8ef09ab4e9f13a05ec3bd6b27c4b1c158b9225e3",
     },
     "g3": {
         "density.csv": "09dcc04dde2298993ae7e26cbd2ce6a4f5dc4486a7dd24bf35ae4df44e14a514",
         "samples.csv": "98a4cd8e735afb2dfe84d62cae4784a651f995f024e29768796d8ace12fd5b27",
+        "summary.json": "4b4cc09c2507e01e43ea0506725fa77e14fb17de8fa317e2f5924ca9a9ba8c99",
     },
 }
 
@@ -1016,9 +1097,8 @@ def test_shelving_artifacts_match_pinned_digests(tmp_path, seed):
 
 @pytest.mark.parametrize("block_rows", [1000, 65_536])
 def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block_rows):
-    # measurement.CSV_BLOCK_ROWS sets both the sampler's blocks and the
-    # writer's; only summary.json's visibility_sampled, summed a block at a
-    # time, may move in its last digit.
+    # measurement.CSV_BLOCK_ROWS sets the sampler's blocks, the writer's
+    # and those that the statistics are fed; no artifact's bytes may move.
     monkeypatch.setattr(measurement, "CSV_BLOCK_ROWS", block_rows)
     runs = [([experiment, "--n", str(MULTI_BLOCK_N)], digests)
             for experiment, digests in MULTI_BLOCK_PINNED_SHA256.items()]
