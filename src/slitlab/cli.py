@@ -158,6 +158,8 @@ class RunConfig:
             raise ConfigError(f"--out {str(out)!r} holds a NUL byte")
         if str(out).splitlines() != [str(out)]:  # its echo would not read back as one line
             raise ConfigError(f"--out {str(out)!r} holds a line break")
+        if str(out) != str(out).strip():  # the config reader strips it from the echo
+            raise ConfigError(f"--out {str(out)!r} starts or ends with whitespace")
         try:
             # A lookup finds a name too long only under an existing parent,
             # so each name is measured against the file system of out's

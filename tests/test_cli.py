@@ -388,6 +388,17 @@ class TestExitCodes:
             assert str(exc.value) == message
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", [" run", "run ", "run\t", "run\u00a0"])
+    def test_whitespace_around_out_is_config_error(self, tmp_path, capsys, monkeypatch, out):
+        # The config reader strips its values, so the echo's out= would read
+        # back as another path.
+        monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
+        monkeypatch.chdir(tmp_path)
+        assert main(["g1", "--out", out]) == 1
+        assert (f"error: invalid config: --out {out!r} starts or ends with whitespace"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_key_given_twice_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.measurement, "arrival_blocks", fail_if_called)
         cfg = tmp_path / "run.cfg"

@@ -6,6 +6,8 @@ checkout's ``src`` first on its path.
 
 import errno
 import hashlib
+import json
+import os
 import signal
 import subprocess
 import sys
@@ -26,10 +28,20 @@ OBSERVER = (
 )
 
 
+# The variables from which OpenBLAS reads its thread count.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 @pytest.fixture
 def python(subprocess_env):
-    def run(*args, **kwargs):
-        return subprocess.run([sys.executable, *args], env=subprocess_env, capture_output=True,
+    def run(*args, blas_env=None, **kwargs):
+        """Run python with ``args``; given ``blas_env``, the child has those
+        BLAS thread variables set and the others unset."""
+        env = subprocess_env
+        if blas_env is not None:
+            env = {key: value for key, value in env.items()
+                   if key not in BLAS_THREAD_VARIABLES} | blas_env
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                               text=True, timeout=120, **kwargs)
     return run
 
@@ -64,6 +76,44 @@ def test_a_run_never_imports_multiprocessing(tmp_path, python):
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts /proc/self/task")
+@pytest.mark.parametrize("blas_env", [{}, {"OPENBLAS_NUM_THREADS": "2"},
+                                      {"OMP_NUM_THREADS": "2"}])
+def test_a_run_is_one_thread_unless_the_caller_sets_a_blas_thread_count(tmp_path, python,
+                                                                        blas_env):
+    code = ("import json, os, slitlab.cli as cli\n"
+            f"assert cli.main(['g2', '--n', '20000', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+            f"print(json.dumps({{key: os.environ.get(key) for key in {BLAS_THREAD_VARIABLES}}}))\n")
+    proc = python("-c", code, blas_env=blas_env)
+    assert proc.returncode == 0, proc.stderr
+    tasks, environ = proc.stdout.splitlines()
+    # The environment reads as the caller left it, so the processes a run
+    # starts load their BLAS as the caller's would.
+    assert json.loads(environ) == {key: blas_env.get(key) for key in BLAS_THREAD_VARIABLES}
+    if not blas_env:
+        assert int(tasks) == 1
+    elif len(os.sched_getaffinity(0)) >= 2:
+        # numpy's and scipy's OpenBLAS each start one worker for two threads.
+        assert int(tasks) == 3
+
+
+def test_oracle_errors_do_not_depend_on_the_blas_thread_count(python):
+    # Criterion 6's three errors on the default geometry, to the last bit.
+    code = ("from slitlab import *\n"
+            "geom = default_geometry()\n"
+            "psi_a, psi_b = (single_hole_amplitude(geom, hole) for hole in (Hole.A, Hole.B))\n"
+            "errors = (relative_l2_error(psi_a, fresnel_oracle(geom, (Hole.A,))),\n"
+            "          relative_l2_error(psi_b, fresnel_oracle(geom, (Hole.B,))),\n"
+            "          relative_l2_error(superpose(psi_a, psi_b), fresnel_oracle(geom)))\n"
+            "print(*(error.hex() for error in errors))\n")
+    one, two = (python("-c", code, blas_env=blas_env)
+                for blas_env in ({}, {"OPENBLAS_NUM_THREADS": "2"}))
+    assert one.returncode == 0 and two.returncode == 0, one.stderr + two.stderr
+    assert len(one.stdout.split()) == 3
+    assert two.stdout == one.stdout
 
 
 def test_main_freezes_the_heap_at_exit_once_and_restores_sigterm(tmp_path, python):
