@@ -39,11 +39,6 @@ FRAUNHOFER_LIMIT = 0.1
 # A stored weight must reproduce the trapezoid integral of |psi|^2.
 WEIGHT_INTEGRAL_RTOL = 1e-9
 
-# Single-hole amplitudes carry probability weights <= 1.  A superposition's
-# grid integral additionally picks up the two-branch cross term, which is
-# physical and stays below ~1e-3 of the total for well-separated holes.
-WEIGHT_CEILING = 1.0 + 1e-3
-
 # The Fresnel quadrature of a hole starts at 16 Clenshaw-Curtis nodes and
 # doubles them until the field stops moving; this is the largest rule it
 # checks against twice as many before giving up.
@@ -181,9 +176,10 @@ class TransverseAmplitude:
     """Complex screen amplitude sampled on the backstop grid.
 
     ``values`` is a read-only view of the array given; ``weight`` is stored
-    (a single hole's is its exact aperture share) and checked against the
-    trapezoid integral of |values|^2 over the grid.  Zero amplitudes are
-    permitted (weight 0); weights above ~1 + 1e-3 are rejected.
+    and must be the trapezoid integral of |values|^2 over the grid.  A
+    single hole's is its exact aperture share; a superposition's includes
+    the cross term, and is above 1 where the branches add constructively
+    on the grid.  Zero amplitudes are permitted (weight 0).
     """
 
     geometry: SlitGeometry
@@ -199,8 +195,8 @@ class TransverseAmplitude:
             raise ValueError(
                 f"stored weight {self.weight!r} does not match integrated |psi|^2 {integral!r}"
             )
-        if self.weight < 0 or self.weight > WEIGHT_CEILING:
-            raise ValueError(f"weight {self.weight!r} outside [0, {WEIGHT_CEILING}]")
+        if self.weight < 0:
+            raise ValueError(f"weight {self.weight!r} is negative")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weight", float(self.weight))
 

@@ -81,7 +81,8 @@ class GriddedCdf:
     def ppf(self, u, rows=None) -> np.ndarray:
         """``np.interp(u, cumulative, x)``, bit for bit, by indexed search;
         with several densities, each key ``u`` inverts its own row of
-        ``cumulative``, given by ``rows`` in [0, number of densities).
+        ``cumulative``, given by ``rows`` in [0, number of densities), which
+        for one density defaults to row 0.
 
         A guide table over u (Chen & Asau 1974) gives the interval ``j`` of
         each key whose cell holds no node of its density straight away, and
@@ -91,11 +92,13 @@ class GriddedCdf:
         top node, or NaN, and so all of numpy's special cases.
         """
         n_densities = len(np.atleast_2d(self.cumulative))
-        if (n_densities > 1 if rows is None
-                else np.size(rows) and not 0 <= np.min(rows) <= np.max(rows) < n_densities):
-            raise ValueError(f"each key needs a row in [0, {n_densities}), its density's index")
-        inverse_width, guide, slopes, nodes, top = self._guide
         keys = np.asarray(u, dtype=float).ravel()
+        if rows is None and n_densities == 1:
+            rows = np.zeros(keys.size, dtype=np.intp)
+        if rows is None or np.size(rows) and not 0 <= np.min(rows) <= np.max(rows) < n_densities:
+            raise ValueError(f"each key needs a row in [0, {n_densities}), its density's index")
+        rows = np.ravel(rows)
+        inverse_width, guide, slopes, nodes, top = self._guide
         # NaN and the keys above the top land in the top node's cell, the
         # negative keys in the first.
         offsets = np.fmin(keys, top)
@@ -104,9 +107,8 @@ class GriddedCdf:
         # np.interp raises nothing, and rounds a tiny product as these do.
         with np.errstate(under="ignore"):
             np.multiply(offsets, inverse_width, out=interval, casting="unsafe")
-            if guide.shape[1] > 1:  # the entry of the key's own density in its cell
-                interval *= guide.shape[1]
-                interval += np.ravel(rows)
+            interval *= guide.shape[1]  # the entry of the key's own density in its cell
+            interval += rows
             interval[:] = guide.take(interval)
             # A key left to np.interp has interval -1, which wraps to the last
             # node and its slope of 0, so its stand-in here stays finite.
@@ -118,7 +120,7 @@ class GriddedCdf:
             np.take(nodes, interval, out=positions, mode="wrap")
             positions += offsets
         rest = np.flatnonzero(interval < 0)
-        rest_rows = np.ravel(rows)[rest] if guide.shape[1] > 1 else np.zeros_like(rest)
+        rest_rows = rows[rest]
         for row, cumulative in enumerate(np.atleast_2d(self.cumulative)):
             picked = rest[rest_rows == row]
             positions[picked] = np.interp(keys[picked], cumulative, self.x)

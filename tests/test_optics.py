@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slitlab import optics
+from slitlab.cli import RunConfig
 from slitlab.optics import (
     Hole,
     QuadratureConvergenceError,
@@ -176,13 +177,11 @@ class TestSuperpose:
         ab = superpose(psi_a, psi_b)
         ba = superpose(psi_b, psi_a)
         np.testing.assert_allclose(ab.values, ba.values, atol=1e-12)
-        # Scale down so the three-term sums stay inside the weight ceiling.
-        third = TransverseAmplitude(GEOM, 0.3 * psi_a.values, 0.09 * psi_a.weight)
-        small_a = TransverseAmplitude(GEOM, 0.3 * psi_a.values, 0.09 * psi_a.weight)
-        small_b = TransverseAmplitude(GEOM, 0.3 * psi_b.values, 0.09 * psi_b.weight)
-        left = superpose(superpose(small_a, small_b), third)
-        right = superpose(small_a, superpose(small_b, third))
+        # A's branch twice plus B's weighs about 2.5: no weight has a ceiling.
+        left = superpose(superpose(psi_a, psi_b), psi_a)
+        right = superpose(psi_a, superpose(psi_b, psi_a))
         np.testing.assert_allclose(left.values, right.values, atol=1e-12)
+        assert left.weight > 2
 
     def test_weight_is_recomputed_not_summed(self):
         psi_a = single_hole_amplitude(GEOM, Hole.A)
@@ -192,6 +191,14 @@ class TestSuperpose:
         assert both.weight == pytest.approx(psi_a.weight + psi_b.weight + cross, abs=1e-12)
         # The two holes sit many widths apart, so the cross term is tiny.
         assert abs(cross) < 1e-3 * both.weight
+
+    def test_weight_must_be_the_grid_integral(self):
+        psi = single_hole_amplitude(GEOM, Hole.A)
+        with pytest.raises(ValueError, match="does not match"):
+            TransverseAmplitude(GEOM, psi.values, 1.01 * psi.weight)
+        # Within the integral's tolerance of a zero amplitude, but negative.
+        with pytest.raises(ValueError, match="negative"):
+            TransverseAmplitude(GEOM, np.zeros(GEOM.grid_points, dtype=complex), -1e-40)
 
 
 class TestFresnelOracle:
@@ -215,6 +222,17 @@ class TestFresnelOracle:
                 single_hole_amplitude(geom, Hole.A), single_hole_amplitude(geom, Hole.B)
             )
             assert relative_l2_error(closed, fresnel_oracle(geom)) < 1e-3
+
+    def test_close_holes_weigh_above_one(self, tmp_path):
+        # The CLI runs these holes, their edges 0.2 um apart; on the grid their
+        # branches add constructively, so both two-hole amplitudes weigh above 1.
+        geom = RunConfig("g1", tmp_path / "run", hole_width=1e-6, separation=1.2e-6).geometry()
+        closed = superpose(
+            single_hole_amplitude(geom, Hole.A), single_hole_amplitude(geom, Hole.B)
+        )
+        oracle = fresnel_oracle(geom)
+        assert closed.weight > 1.001 and oracle.weight > 1.001
+        assert relative_l2_error(closed, oracle) < 1e-3
 
     def test_no_open_holes_rejected(self):
         with pytest.raises(ValueError):
