@@ -171,6 +171,12 @@ def _readonly(a, dtype=None) -> np.ndarray:
     return view
 
 
+def _finite_and_increasing(a: np.ndarray) -> bool:
+    """Whether the nonempty 1-D ``a`` rises strictly between finite ends, so that
+    every value is finite; NaN anywhere fails, as it fails every comparison."""
+    return bool(a[0] > -math.inf and a[-1] < math.inf and np.all(a[1:] > a[:-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class TransverseAmplitude:
     """Complex screen amplitude sampled on the backstop grid.
@@ -191,21 +197,23 @@ class TransverseAmplitude:
         if values.shape != self.geometry.grid.shape:
             raise ValueError("amplitude values must match the geometry grid")
         integral = _trapezoid(np.abs(values) ** 2, self.geometry.grid)
-        if abs(integral - self.weight) > WEIGHT_INTEGRAL_RTOL * max(abs(self.weight), 1e-30):
+        # Written so that a NaN weight or integral, which every comparison fails, is rejected.
+        if not abs(integral - self.weight) <= WEIGHT_INTEGRAL_RTOL * max(abs(self.weight), 1e-30):
             raise ValueError(
                 f"stored weight {self.weight!r} does not match integrated |psi|^2 {integral!r}"
             )
-        if self.weight < 0:
-            raise ValueError(f"weight {self.weight!r} is negative")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(f"weight {self.weight!r} is negative or infinite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weight", float(self.weight))
 
 
 @dataclass(frozen=True, eq=False)
 class RealDensity:
-    """Nonnegative screen density on a grid (full geometry grid or a slice).
+    """Nonnegative, finite screen density on a grid (full geometry grid or a slice).
 
-    ``x`` defaults to the geometry's grid; ``values`` and ``x`` are held as
+    ``x`` defaults to the geometry's grid, and a given ``x`` must be finite
+    and strictly increasing; ``values`` and ``x`` are held as
     read-only views of the arrays given.  ``total`` is computed: the
     trapezoid integral of ``values`` over ``x``.
     """
@@ -222,8 +230,10 @@ class RealDensity:
             raise ValueError("density values must match the grid")
         if values.size < 2:
             raise ValueError("density needs at least two grid points")
-        if np.any(values < 0):
-            raise ValueError("density values must be nonnegative")
+        if not (values.min() >= 0 and values.max() < math.inf):  # so that NaN fails too
+            raise ValueError("density values must be nonnegative and finite")
+        if self.x is not None and not _finite_and_increasing(x):
+            raise ValueError("density grid x must be finite and strictly increasing")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "total", _trapezoid(values, x))

@@ -24,7 +24,6 @@ __all__ = [
     "DetectionScore",
     "IonState",
     "JumpDetector",
-    "PhotonRecord",
     "TelegraphTrajectory",
     "VSystemRates",
     "dark_threshold_for_false_rate",
@@ -166,20 +165,6 @@ def _check_arrivals(times: np.ndarray, total_time: float, after: float = -math.i
             raise ValueError("arrival times must be strictly increasing")
 
 
-@dataclass(frozen=True, eq=False)
-class PhotonRecord:
-    """Strictly increasing fluorescence arrival times within [0, total_time]."""
-
-    arrival_times: np.ndarray
-    total_time: float
-
-    def __post_init__(self) -> None:
-        times = _readonly(self.arrival_times, float)
-        object.__setattr__(self, "arrival_times", times)
-        _check_total_time(self.total_time)
-        _check_arrivals(times, self.total_time)
-
-
 def simulate_trajectory(
     rates: VSystemRates, total_time: float, rng: np.random.Generator
 ) -> TelegraphTrajectory:
@@ -208,10 +193,10 @@ def photon_chunks(
     Per bright dwell the count is Poisson and the arrivals are placed
     uniformly (the conditional law of a homogeneous Poisson process).
     Arrivals that round to the same double are kept once, within a dwell
-    and across dwells.  Each chunk passes ``PhotonRecord``'s checks and
-    starts after the previous chunk's last arrival, so the chunks join into
-    a valid record; a dwell left without photons yields nothing.  Besides
-    the dwells' bounds (16 B a dwell), memory is set by the longest bright dwell.
+    and across dwells.  Each chunk passes ``_check_arrivals`` from the
+    previous chunk's last arrival, so the chunks join into a valid record;
+    a dwell left without photons yields nothing.  Besides the dwells'
+    bounds (16 B a dwell), memory is set by the longest bright dwell.
     """
     last = -math.inf
     for start, end in zip(*traj.bounds(IonState.BRIGHT)):
@@ -241,11 +226,10 @@ def photon_chunks(
 
 def emit_photons(
     traj: TelegraphTrajectory, rates: VSystemRates, rng: np.random.Generator
-) -> PhotonRecord:
-    """The whole record of ``photon_chunks`` as one array."""
+) -> np.ndarray:
+    """The whole record of ``photon_chunks`` as one float64 array."""
     chunks = list(photon_chunks(traj, rates, rng))
-    times = np.concatenate(chunks) if chunks else np.empty(0, dtype=float)
-    return PhotonRecord(times, traj.total_time)
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=float)
 
 
 class JumpDetector:
@@ -303,10 +287,11 @@ class JumpDetector:
         return found
 
 
-def detect_jumps(record: PhotonRecord, dark_threshold: float) -> np.ndarray:
-    """``JumpDetector`` over a whole record held as one chunk."""
-    detector = JumpDetector(record.total_time, dark_threshold)
-    detector.feed(record.arrival_times)
+def detect_jumps(times: np.ndarray, total_time: float, dark_threshold: float) -> np.ndarray:
+    """``JumpDetector`` over a whole record of arrival times held as one chunk."""
+    detector = JumpDetector(total_time, dark_threshold)
+    _check_arrivals(times, total_time)
+    detector.feed(times)
     return detector.finish()
 
 

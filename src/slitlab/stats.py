@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
-from .optics import RealDensity, SlitGeometry, _readonly
+from .optics import RealDensity, SlitGeometry, _finite_and_increasing, _readonly
 
 __all__ = [
     "ChiSquareResult",
@@ -24,7 +24,6 @@ __all__ = [
     "GriddedCdf",
     "Histogram",
     "KsResult",
-    "PositionSample",
     "SparseTableError",
     "WindowedChi2",
     "chi_square_gof",
@@ -165,41 +164,26 @@ class GriddedCdf:
 
 
 @dataclass(frozen=True, eq=False)
-class PositionSample:
-    """Backstop arrival positions on a geometry's grid."""
-
-    positions: np.ndarray
-    geometry: SlitGeometry
-
-    def __post_init__(self) -> None:
-        positions = _readonly(self.positions, float)
-        object.__setattr__(self, "positions", positions)
-        # Written so that a NaN position, which every comparison fails, is rejected.
-        if positions.size and not (
-            positions.min() >= self.geometry.grid_min and positions.max() <= self.geometry.grid_max
-        ):
-            raise ValueError("positions fall outside the geometry grid")
-
-
-@dataclass(frozen=True, eq=False)
 class Histogram:
+    """Counts per bin between strictly increasing, finite edges; ``n_total``
+    is computed: the sum of the counts."""
+
     bin_edges: np.ndarray
     counts: np.ndarray
-    n_total: int
+    n_total: int = field(init=False)
 
     def __post_init__(self) -> None:
         edges = _readonly(self.bin_edges, float)
         counts = _readonly(self.counts, np.int64)
         if edges.ndim != 1 or edges.size != counts.size + 1:
             raise ValueError("need exactly one more edge than bins")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
+        if not _finite_and_increasing(edges):
+            raise ValueError("bin edges must be finite and strictly increasing")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if int(counts.sum()) != self.n_total:
-            raise ValueError("counts must sum to n_total")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n_total", int(counts.sum()))
 
 
 @dataclass(frozen=True)
@@ -215,7 +199,7 @@ class KsResult:
     p_value: float
 
 
-def sample_positions(density: RealDensity, n: int, rng: np.random.Generator) -> PositionSample:
+def sample_positions(density: RealDensity, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` independent arrival positions from a unit-total density."""
     if abs(density.total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"density is not normalized: total = {density.total!r}")
@@ -223,28 +207,27 @@ def sample_positions(density: RealDensity, n: int, rng: np.random.Generator) -> 
         raise ValueError("need at least one sample")
     cdf = GriddedCdf(density)
     u = rng.random(n)
-    positions = cdf.ppf(u)
-    return PositionSample(positions, density.geometry)
+    return cdf.ppf(u)
 
 
-def filter_positions(sample: PositionSample, lo: float, hi: float) -> PositionSample:
+def filter_positions(positions: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Keep only positions inside [lo, hi] (an explicit conditioning step)."""
-    mask = (sample.positions >= lo) & (sample.positions <= hi)
-    return PositionSample(sample.positions[mask], sample.geometry)
+    return positions[(positions >= lo) & (positions <= hi)]
 
 
-def histogram(sample: PositionSample, n_bins: int, range_: tuple[float, float]) -> Histogram:
-    """Equal-width histogram; positions outside the range are an error."""
+def histogram(positions: np.ndarray, n_bins: int, range_: tuple[float, float]) -> Histogram:
+    """Equal-width histogram; positions outside the range, or NaN, are an error."""
     if n_bins < 1:
         raise ValueError("need at least one bin")
     lo, hi = float(range_[0]), float(range_[1])
     if not lo < hi:
         raise ValueError("histogram range must be an increasing interval")
-    positions = sample.positions
-    if positions.size and (positions.min() < lo or positions.max() > hi):
+    # Written so that a NaN position, which every comparison fails, is
+    # rejected rather than dropped by np.histogram.
+    if positions.size and not (positions.min() >= lo and positions.max() <= hi):
         raise ValueError("positions fall outside the histogram range")
     counts, edges = np.histogram(positions, bins=n_bins, range=(lo, hi))
-    return Histogram(edges, counts, int(positions.size))
+    return Histogram(edges, counts)
 
 
 def _merge_edges_inward(observed: np.ndarray, expected: np.ndarray):
@@ -342,7 +325,7 @@ class WindowedChi2:
             # The last bin also holds the arrivals at hi, so it ends at inf.
             counts = np.diff(below[np.append(np.searchsorted(self._edges, edges[:-1]), -1)])
             try:
-                return chi_square_gof(Histogram(edges, counts, int(below[-1])), windowed), n_bins
+                return chi_square_gof(Histogram(edges, counts), windowed), n_bins
             except SparseTableError:
                 pass
         return None, None
@@ -415,8 +398,8 @@ class FringeVisibility:
         return math.exp(-self.arrivals * v * v / 4)
 
 
-def fringe_visibility_from_positions(sample: PositionSample) -> float:
+def fringe_visibility_from_positions(positions: np.ndarray, geometry: SlitGeometry) -> float:
     """``FringeVisibility`` of a whole sample."""
-    visibility = FringeVisibility(sample.geometry)
-    visibility.feed(sample.positions)
+    visibility = FringeVisibility(geometry)
+    visibility.feed(positions)
     return visibility.finish()

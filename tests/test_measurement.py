@@ -79,7 +79,7 @@ class TestApplyMeasurement:
         expected = sample_positions(
             ensemble_density(config, GEOM), 5000, np.random.default_rng(seed)
         )
-        assert positions.tobytes() == expected.positions.tobytes()
+        assert positions.tobytes() == expected.tobytes()
 
     def test_light_off_changes_nothing(self):
         self.assert_unseen_and_unchanged(Illumination.OFF, 0)

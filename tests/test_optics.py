@@ -20,8 +20,8 @@ from slitlab.optics import (
     superpose,
     visibility,
 )
-from slitlab.shelving import IonState, PhotonRecord, TelegraphTrajectory
-from slitlab.stats import Histogram, PositionSample
+from slitlab.shelving import IonState, TelegraphTrajectory
+from slitlab.stats import Histogram
 
 GEOM = default_geometry()
 
@@ -199,6 +199,12 @@ class TestSuperpose:
         # Within the integral's tolerance of a zero amplitude, but negative.
         with pytest.raises(ValueError, match="negative"):
             TransverseAmplitude(GEOM, np.zeros(GEOM.grid_points, dtype=complex), -1e-40)
+
+    @pytest.mark.parametrize("value, weight", [(np.nan, 0.5), (0.0, np.nan), (0.0, np.inf)])
+    def test_non_finite_amplitude_or_weight_rejected(self, value, weight):
+        # Each compares False with the integral's tolerance and with 0.
+        with pytest.raises(ValueError, match="does not match|infinite"):
+            TransverseAmplitude(GEOM, np.full(GEOM.grid_points, value, dtype=complex), weight)
 
 
 class TestFresnelOracle:
@@ -457,6 +463,18 @@ class TestRealDensity:
         with pytest.raises(ValueError, match="nonnegative"):
             RealDensity(GEOM, values)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            RealDensity(GEOM, np.full(GEOM.grid_points, value))
+
+    @pytest.mark.parametrize("x", [[0.4, 0.3, 0.2, 0.1, 0.0], [0.0, 0.1, 0.1, 0.2, 0.3],
+                                   [0.0, 0.1, np.nan, 0.3, 0.4], [-np.inf, 0.1, 0.2, 0.3, 0.4],
+                                   [0.0, 0.1, 0.2, 0.3, np.inf]])
+    def test_given_grid_must_be_finite_and_increasing(self, x):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            RealDensity(GEOM, np.ones(5), x=x)
+
     def test_total_is_the_trapezoid_integral_bit_for_bit(self):
         psi = superpose(single_hole_amplitude(GEOM, Hole.A), single_hole_amplitude(GEOM, Hole.B))
         values = np.abs(psi.values) ** 2
@@ -481,15 +499,11 @@ RECORDS = {
                             lambda values: TransverseAmplitude(GEOM, values, 0.0), ["values"]),
     "RealDensity": (lambda: [np.ones(5), np.linspace(0.0, 0.1, 5)],
                     lambda values, x: RealDensity(GEOM, values, x=x), ["values", "x"]),
-    "PositionSample": (lambda: [np.zeros(3)],
-                       lambda positions: PositionSample(positions, GEOM), ["positions"]),
     "Histogram": (lambda: [np.array([0.0, 1.0, 2.0]), np.array([1, 2], dtype=np.int64)],
-                  lambda edges, counts: Histogram(edges, counts, 3), ["bin_edges", "counts"]),
+                  lambda edges, counts: Histogram(edges, counts), ["bin_edges", "counts"]),
     "TelegraphTrajectory": (lambda: [np.array([1.0, 2.0])],
                             lambda lengths: TelegraphTrajectory(IonState.BRIGHT, lengths, 3.0),
                             ["intervals"]),
-    "PhotonRecord": (lambda: [np.array([0.5, 1.5])],
-                     lambda times: PhotonRecord(times, 2.0), ["arrival_times"]),
 }
 
 

@@ -11,7 +11,6 @@ from slitlab.shelving import (
     DetectionScore,
     IonState,
     JumpDetector,
-    PhotonRecord,
     TelegraphTrajectory,
     VSystemRates,
     dark_threshold_for_false_rate,
@@ -193,57 +192,57 @@ def stream_peak(total_time: float) -> tuple[int, int]:
 class TestPhotonEmission:
     def test_dark_trajectory_emits_nothing(self):
         traj = TelegraphTrajectory(IonState.DARK, [10.0], 10.0)
-        record = emit_photons(traj, default_rates(), np.random.default_rng(0))
-        assert record.arrival_times.size == 0
+        times = emit_photons(traj, default_rates(), np.random.default_rng(0))
+        assert times.size == 0
 
     def test_bright_interval_count_is_poisson(self):
         rates = VSystemRates(1e4, 1e-30, 1e-30)
         duration = 50.0
         traj = TelegraphTrajectory(IonState.BRIGHT, [duration], duration)
-        record = emit_photons(traj, rates, np.random.default_rng(1))
+        times = emit_photons(traj, rates, np.random.default_rng(1))
         expected = rates.fluorescence_rate * duration
-        assert abs(record.arrival_times.size - expected) < 3 * np.sqrt(expected)
+        assert abs(times.size - expected) < 3 * np.sqrt(expected)
 
     def test_gaps_within_bright_interval_are_exponential(self):
         rates = VSystemRates(1e3, 1e-30, 1e-30)
         traj = TelegraphTrajectory(IonState.BRIGHT, [100.0], 100.0)
-        record = emit_photons(traj, rates, np.random.default_rng(2))
-        gaps = np.diff(record.arrival_times)
+        gaps = np.diff(emit_photons(traj, rates, np.random.default_rng(2)))
         assert ks_exponential(gaps, rates.fluorescence_rate).p_value > 0.01
 
     def test_record_invariants(self):
         with pytest.raises(ValueError, match="increasing"):
-            PhotonRecord(np.array([0.2, 0.1]), 1.0)
+            _check_arrivals(np.array([0.2, 0.1]), 1.0)
         with pytest.raises(ValueError, match="within"):
-            PhotonRecord(np.array([2.0]), 1.0)
+            _check_arrivals(np.array([2.0]), 1.0)
 
     @pytest.mark.parametrize("times", [[0.1, np.nan, 0.5], [np.nan], [0.1, np.inf], [-np.inf, 0.5]])
     def test_non_finite_arrival_times_rejected(self, times):
         with pytest.raises(ValueError, match="within"):
-            PhotonRecord(np.array(times), 1.0)
+            _check_arrivals(np.array(times), 1.0)
 
     @pytest.mark.parametrize("total_time", [float("nan"), float("inf")])
     @pytest.mark.parametrize("times", [[], [0.5]])
     def test_non_finite_total_time_rejected(self, times, total_time):
+        # A whole record is checked for its total time before its arrivals.
         with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
-            PhotonRecord(np.array(times, dtype=float), total_time)
+            detect_jumps(np.array(times, dtype=float), total_time, 1.0)
 
     def test_equal_arrival_times_are_kept_once(self):
         draws = [np.array([0.75, 0.25, 0.5, 0.25, 0.5, 0.5, 0.0]),
                  np.array([0.0, 0.0, 0.1, 0.9, 0.9])]
         traj = TelegraphTrajectory(IonState.BRIGHT, [1.0, 0.5, 1.0], 2.5)
-        record = emit_photons(traj, default_rates(), PlantedDraws(draws))
+        times = emit_photons(traj, default_rates(), PlantedDraws(draws))
         expected = np.unique(np.concatenate(
             [start + np.sort(u) * 1.0 for start, u in zip((0.0, 1.5), draws)]))
-        assert record.arrival_times.size == 7 < sum(len(u) for u in draws)
-        assert record.arrival_times.tobytes() == expected.tobytes()
+        assert times.size == 7 < sum(len(u) for u in draws)
+        assert times.tobytes() == expected.tobytes()
 
     def test_equal_arrival_times_across_dwells_are_kept_once(self):
         draws = [np.array([0.5, 1.0]), np.array([0.0, 0.5])]
         chunks = list(photon_chunks(ABUTTING_DWELLS, default_rates(), PlantedDraws(draws)))
         assert [chunk.tolist() for chunk in chunks] == [[0.5, 1.0], [1.5]]
-        record = emit_photons(ABUTTING_DWELLS, default_rates(), PlantedDraws(draws))
-        assert record.arrival_times.tolist() == [0.5, 1.0, 1.5]
+        times = emit_photons(ABUTTING_DWELLS, default_rates(), PlantedDraws(draws))
+        assert times.tolist() == [0.5, 1.0, 1.5]
 
     @pytest.mark.parametrize("second, message", [
         (np.array([0.25, 1.25]), "within"),  # past the end of the record
@@ -273,11 +272,11 @@ class TestPhotonEmission:
         rates = default_rates()
         traj = simulate_trajectory(rates, 20.0, np.random.default_rng(5))
         chunks = list(photon_chunks(traj, rates, np.random.default_rng(6)))
-        record = emit_photons(traj, rates, np.random.default_rng(6))
+        times = emit_photons(traj, rates, np.random.default_rng(6))
         bright = traj.bounds(IonState.BRIGHT)[0].size
         assert 1 < len(chunks) <= bright
         assert all(a[-1] < b[0] for a, b in zip(chunks, chunks[1:]))
-        assert np.concatenate(chunks).tobytes() == record.arrival_times.tobytes()
+        assert np.concatenate(chunks).tobytes() == times.tobytes()
 
     def test_stream_memory_does_not_grow_with_the_record(self):
         # The stream holds one bright dwell at a time, so its peak follows
@@ -298,60 +297,58 @@ class TestPhotonEmission:
     def test_seed_determinism(self):
         rates = default_rates()
         traj = simulate_trajectory(rates, 5.0, np.random.default_rng(9))
-        a = emit_photons(traj, rates, np.random.default_rng(10)).arrival_times
-        b = emit_photons(traj, rates, np.random.default_rng(10)).arrival_times
+        a = emit_photons(traj, rates, np.random.default_rng(10))
+        b = emit_photons(traj, rates, np.random.default_rng(10))
         assert a.tobytes() == b.tobytes()
 
 
 @st.composite
 def photon_records(draw):
+    """Arrival times and the total time of a record."""
     total = draw(st.floats(0.0, 1e3))
     times = draw(st.lists(st.floats(0.0, total), max_size=40))
-    return PhotonRecord(np.unique(np.asarray(times, dtype=float)), total)
+    return np.unique(np.asarray(times, dtype=float)), total
 
 
 class TestDetectJumps:
     def test_empty_record_is_one_long_dark_interval(self):
-        record = PhotonRecord(np.empty(0), 10.0)
-        assert detect_jumps(record, 1.0).tolist() == [[0.0, 10.0]]
+        assert detect_jumps(np.empty(0), 10.0, 1.0).tolist() == [[0.0, 10.0]]
 
     def test_zero_length_record_yields_nothing(self):
-        record = PhotonRecord(np.empty(0), 0.0)
-        assert detect_jumps(record, 1.0).shape == (0, 2)
+        assert detect_jumps(np.empty(0), 0.0, 1.0).shape == (0, 2)
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
-            detect_jumps(PhotonRecord(np.empty(0), 1.0), 0.0)
+            detect_jumps(np.empty(0), 1.0, 0.0)
 
     def test_silence_is_declared_after_the_threshold_elapses(self):
         # Photons at 1 s and 2 s in a 3 s record, threshold 0.5 s: the dark
         # inference begins threshold seconds after the last photon, except
         # at the record start where no photon precedes the silence.
-        record = PhotonRecord(np.array([1.0, 2.0]), 3.0)
-        assert detect_jumps(record, 0.5).tolist() == [[0.0, 1.0], [1.5, 2.0], [2.5, 3.0]]
+        assert detect_jumps(np.array([1.0, 2.0]), 3.0, 0.5).tolist() == [
+            [0.0, 1.0], [1.5, 2.0], [2.5, 3.0]]
 
     def test_short_gaps_are_ignored(self):
-        record = PhotonRecord(np.array([0.1, 0.2, 0.3, 0.9]), 1.0)
-        assert detect_jumps(record, 0.61).shape == (0, 2)
+        assert detect_jumps(np.array([0.1, 0.2, 0.3, 0.9]), 1.0, 0.61).shape == (0, 2)
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf])
     def test_threshold_must_be_finite(self, threshold):
         # NaN and inf compare False against every silence, which would
         # silently report no dark interval at all.
         with pytest.raises(ValueError, match="dark_threshold must be positive and finite"):
-            detect_jumps(PhotonRecord(np.array([1.0, 2.0]), 3.0), threshold)
+            detect_jumps(np.array([1.0, 2.0]), 3.0, threshold)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(record=photon_records(), threshold=st.floats(0.0, 1e3, exclude_min=True))
     # A gap one ulp longer than the threshold: start + threshold rounds up
     # to the next photon.
-    @example(record=PhotonRecord(np.array([1.0, 1.0 + 2**-52]), 1.0 + 2**-52),
-             threshold=0.9 * 2**-52)
+    @example(record=(np.array([1.0, 1.0 + 2**-52]), 1.0 + 2**-52), threshold=0.9 * 2**-52)
     def test_intervals_are_ordered_disjoint_silences_inside_the_record(self, record, threshold):
-        inferred = detect_jumps(record, threshold)
+        times, total_time = record
+        inferred = detect_jumps(times, total_time, threshold)
         for start, end in inferred:
-            assert 0.0 <= start < end <= record.total_time
-            inside = (record.arrival_times > start) & (record.arrival_times < end)
+            assert 0.0 <= start < end <= total_time
+            inside = (times > start) & (times < end)
             assert not inside.any(), (start, end)
         for (_, end), (start, _) in zip(inferred, inferred[1:]):
             assert end <= start
@@ -366,7 +363,7 @@ def chunked_records(draw):
     chunk, a zero gap that must change nothing.
     """
     record = draw(photon_records())
-    times = record.arrival_times
+    times, _ = record
     cuts = sorted(draw(st.lists(st.integers(0, times.size), max_size=6)))
     chunks = []
     last = None
@@ -387,19 +384,19 @@ class TestChunkedDetector:
     @given(case=chunked_records(), threshold=st.floats(0.0, 1e3, exclude_min=True))
     # A gap one ulp longer than the threshold, across an edge: start +
     # threshold rounds up to the next photon, so no interval.
-    @example(case=(PhotonRecord(np.array([1.0, 1.0 + ULP]), 2.0),
+    @example(case=((np.array([1.0, 1.0 + ULP]), 2.0),
                    [np.array([1.0]), np.array([1.0 + ULP])]), threshold=0.9 * ULP)
     # The same gap, with the threshold one ulp shorter than it.
-    @example(case=(PhotonRecord(np.array([1.0, 1.0 + 2 * ULP]), 2.0),
+    @example(case=((np.array([1.0, 1.0 + 2 * ULP]), 2.0),
                    [np.array([1.0]), np.array([1.0 + 2 * ULP])]), threshold=ULP)
     # A duplicate arrival across an edge, and empty tails.
-    @example(case=(PhotonRecord(np.array([0.5, 1.0, 2.5]), 4.0),
+    @example(case=((np.array([0.5, 1.0, 2.5]), 4.0),
                    [np.array([0.5, 1.0]), np.array([1.0, 2.5]), np.empty(0), np.empty(0)]),
              threshold=1.0)
     def test_chunks_give_the_whole_record_list(self, case, threshold):
-        record, chunks = case
-        expected = detect_jumps(record, threshold)
-        detector = JumpDetector(record.total_time, threshold)
+        (times, total_time), chunks = case
+        expected = detect_jumps(times, total_time, threshold)
+        detector = JumpDetector(total_time, threshold)
         for chunk in chunks:
             detector.feed(chunk)
         np.testing.assert_array_equal(detector.finish(), expected)
@@ -418,7 +415,7 @@ class TestChunkedDetector:
         detector.feed(np.array([4.0]))
         cases = [(found, [[0.0, 2.0], [3.5, 10.0]]),
                  (detector.finish(), [[0.0, 2.0], [3.5, 4.0], [5.0, 10.0]]),
-                 (detect_jumps(PhotonRecord(np.array([0.5]), 1.0), 1.0), [])]
+                 (detect_jumps(np.array([0.5]), 1.0, 1.0), [])]
         for detections, expected in cases:
             assert detections.dtype == np.float64 and detections.shape == (len(expected), 2)
             assert not detections.flags.writeable
@@ -461,7 +458,7 @@ class TestChunkedDetector:
         streamed = detector.finish()
         rng.bit_generator.state = photon_state
         np.testing.assert_array_equal(streamed, detect_jumps(emit_photons(traj, rates, rng),
-                                                             threshold))
+                                                             40.0, threshold))
         assert len(streamed) > 5
 
 
@@ -473,8 +470,7 @@ class TestDetectorAgainstGroundTruth:
         tau = default_dark_threshold(rates)
         rng = np.random.default_rng(21)
         traj = simulate_trajectory(rates, 600.0, rng)
-        record = emit_photons(traj, rates, rng)
-        inferred = detect_jumps(record, tau)
+        inferred = detect_jumps(emit_photons(traj, rates, rng), traj.total_time, tau)
         score = score_detections(traj, inferred, tau)
         assert score.n_inferred > 500
         assert score.false_discovery_rate == 0.0
@@ -488,9 +484,9 @@ class TestDetectorAgainstGroundTruth:
         rates = VSystemRates(1e4, 1e-30, 1e-30)
         tau = dark_threshold_for_false_rate(rates, 1e-4)
         traj = TelegraphTrajectory(IonState.BRIGHT, [100.0], 100.0)
-        record = emit_photons(traj, rates, np.random.default_rng(22))
-        inferred = detect_jumps(record, tau)
-        n_gaps = record.arrival_times.size - 1
+        times = emit_photons(traj, rates, np.random.default_rng(22))
+        inferred = detect_jumps(times, traj.total_time, tau)
+        n_gaps = times.size - 1
         expected = n_gaps * 1e-4
         assert expected / 2 <= len(inferred) <= expected * 2
 
@@ -636,7 +632,7 @@ def test_score_matches_the_pointer_reference(seed):
     rates = VSystemRates(5e3, rng.uniform(1, 50), rng.uniform(1, 20))
     tau = rng.choice([default_dark_threshold(rates), 1e-3, 0.05])
     traj = simulate_trajectory(rates, rng.uniform(0.01, 20), rng)
-    detected = detect_jumps(emit_photons(traj, rates, rng), tau)
+    detected = detect_jumps(emit_photons(traj, rates, rng), traj.total_time, tau)
     edges = np.column_stack(traj.bounds()).ravel()  # each dwell's start, then its end
     starts = rng.choice(np.concatenate([edges, rng.uniform(0, traj.total_time, 8)]), 20)
     lengths = rng.choice([0.0, tau, 1e-9, rng.exponential()], 20)

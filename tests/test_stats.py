@@ -5,6 +5,7 @@
 uniformity under the true model.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -30,7 +31,6 @@ from slitlab.stats import (
     GriddedCdf,
     FringeVisibility,
     Histogram,
-    PositionSample,
     SparseTableError,
     WindowedChi2,
     chi_square_gof,
@@ -80,14 +80,14 @@ class TestSamplePositions:
         dens = unit_interval_density(values / np.trapezoid(values, np.linspace(0, 1, geom_points)))
         x = dens.x
         sample = sample_positions(dens, 5000, np.random.default_rng(1))
-        assert sample.positions.min() >= x[999]
-        assert sample.positions.max() <= x[1001]
+        assert sample.min() >= x[999]
+        assert sample.max() <= x[1001]
 
     def test_uniform_density_fills_deciles(self):
         dens = unit_interval_density()
         n = 100_000
         sample = sample_positions(dens, n, np.random.default_rng(2))
-        counts, _ = np.histogram(sample.positions, bins=10, range=(0.0, 1.0))
+        counts, _ = np.histogram(sample, bins=10, range=(0.0, 1.0))
         # binomial: each decile holds n/10 +- 3*sqrt(n*0.1*0.9)
         bound = 3 * np.sqrt(n * 0.1 * 0.9)
         assert np.all(np.abs(counts - n / 10) < bound)
@@ -95,7 +95,7 @@ class TestSamplePositions:
     def test_fringe_fourier_coefficient_matches_analytic(self):
         n = 1_000_000
         sample = sample_positions(OFF_DENSITY, n, np.random.default_rng(30))
-        theta = 2 * np.pi * sample.positions / GEOM.fringe_period
+        theta = 2 * np.pi * sample / GEOM.fringe_period
         observed = np.cos(theta)
         # analytic coefficient, integrated numerically from the density
         grid_theta = 2 * np.pi * OFF_DENSITY.x / GEOM.fringe_period
@@ -105,8 +105,8 @@ class TestSamplePositions:
         assert abs(observed.mean() - expected) < 3 * sigma
 
     def test_seed_determinism_is_bitwise(self):
-        a = sample_positions(OFF_DENSITY, 10_000, np.random.default_rng(42)).positions
-        b = sample_positions(OFF_DENSITY, 10_000, np.random.default_rng(42)).positions
+        a = sample_positions(OFF_DENSITY, 10_000, np.random.default_rng(42))
+        b = sample_positions(OFF_DENSITY, 10_000, np.random.default_rng(42))
         assert a.tobytes() == b.tobytes()
 
     def test_empirical_cdf_stays_in_ks_band(self):
@@ -114,16 +114,19 @@ class TestSamplePositions:
         n = 1_000_000
         sample = sample_positions(OFF_DENSITY, n, np.random.default_rng(4))
         cdf = GriddedCdf(OFF_DENSITY)
-        sorted_x = np.sort(sample.positions)
+        sorted_x = np.sort(sample)
         model = cdf.cdf(sorted_x)
         ranks = np.arange(1, n + 1) / n
         deviation = max(np.max(np.abs(ranks - model)), np.max(np.abs(ranks - 1 / n - model)))
         assert deviation <= 1.63 / np.sqrt(n)
 
     def test_positions_must_lie_on_grid_range(self):
+        # A sample is a plain array; binning it over the grid is the check
+        # that rejects an off-grid position, and NaN and inf, which
+        # np.histogram would leave out of every bin.
         for bad in (0.3, np.nan, np.inf):
             with pytest.raises(ValueError, match="outside"):
-                PositionSample(np.array([0.0, bad]), GEOM)
+                histogram(np.array([0.0, bad]), 10, (GEOM.grid_min, GEOM.grid_max))
 
 
 def ppf_keys(cdf, u, row=0):
@@ -258,19 +261,21 @@ class TestGriddedCdfPpf:
 
 class TestHistogram:
     def test_out_of_range_positions_are_an_error(self):
-        sample = PositionSample(np.array([-0.15, 0.0, 0.15]), GEOM)
         with pytest.raises(ValueError, match="outside"):
-            histogram(sample, 10, (-0.1, 0.1))
+            histogram(np.array([-0.15, 0.0, 0.15]), 10, (-0.1, 0.1))
 
     def test_single_bin_collects_everything(self):
-        sample = PositionSample(np.array([-0.05, 0.0, 0.05]), GEOM)
-        hist = histogram(sample, 1, (-0.1, 0.1))
+        hist = histogram(np.array([-0.05, 0.0, 0.05]), 1, (-0.1, 0.1))
         assert hist.counts.tolist() == [3]
 
     def test_zero_bins_rejected(self):
-        sample = PositionSample(np.array([0.0]), GEOM)
         with pytest.raises(ValueError):
-            histogram(sample, 0, (-0.1, 0.1))
+            histogram(np.array([0.0]), 0, (-0.1, 0.1))
+
+    @pytest.mark.parametrize("edges", [[0.0, np.nan, 2.0], [0.0, 2.0, 1.0], [0.0, 1.0, np.inf]])
+    def test_edges_must_be_finite_and_increasing(self, edges):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Histogram(edges, [1, 1])
 
     def test_mirror_bins_agree_for_symmetric_density(self):
         n = 200_000
@@ -327,7 +332,7 @@ class TestChiSquare:
         # Four bins of a uniform density, each expecting 5 of 20 counts: the
         # pooling threshold is met, not missed, so all four bins stay.
         dens = unit_interval_density(grid_points=5)
-        result = chi_square_gof(Histogram(np.linspace(0.0, 1.0, 5), np.full(4, 5), 20), dens)
+        result = chi_square_gof(Histogram(np.linspace(0.0, 1.0, 5), np.full(4, 5)), dens)
         assert result.dof == 3
         assert result.statistic == 0.0
 
@@ -392,7 +397,7 @@ class TestChiSquare:
                 rng.multinomial(n, weights**4 / (weights**4).sum()),
                 np.eye(n_bins, dtype=np.int64)[0] * n,
             ):
-                result = chi_square_gof(Histogram(edges, counts, n), dens)
+                result = chi_square_gof(Histogram(edges, counts), dens)
                 assert result.p_value == float(sps.chi2.sf(result.statistic, result.dof))
                 statistics.add(result.statistic)
                 p_values.add(result.p_value)
@@ -409,7 +414,7 @@ def windowed_chi2(positions, density):
 class TestWindowedChi2:
     def test_ample_sample_uses_the_finest_bins(self):
         sample = sample_positions(OFF_DENSITY, 100_000, np.random.default_rng(15))
-        result, n_bins = windowed_chi2(sample.positions, OFF_DENSITY)
+        result, n_bins = windowed_chi2(sample, OFF_DENSITY)
         assert n_bins == 96
         half = CHI2_HALF_PERIODS * GEOM.fringe_period
         windowed = OFF_DENSITY.restrict(-half, half)
@@ -420,7 +425,7 @@ class TestWindowedChi2:
     def test_small_sample_steps_down_the_ladder(self):
         # 300 arrivals starve 96 fringe bins (see the interior-starvation test).
         sample = sample_positions(OFF_DENSITY, 300, np.random.default_rng(11))
-        result, n_bins = windowed_chi2(sample.positions, OFF_DENSITY)
+        result, n_bins = windowed_chi2(sample, OFF_DENSITY)
         assert 8 <= n_bins < 96
         assert result.dof >= 1
 
@@ -429,7 +434,7 @@ class TestWindowedChi2:
         # Ten arrivals can still pool into one bin expecting >= 5; a one-bin
         # table has no degrees of freedom, so it is not a fit either.
         sample = sample_positions(OFF_DENSITY, n, np.random.default_rng(16))
-        assert windowed_chi2(sample.positions, OFF_DENSITY) == (None, None)
+        assert windowed_chi2(sample, OFF_DENSITY) == (None, None)
 
     def test_no_arrivals_give_no_fit(self):
         assert windowed_chi2(np.array([]), OFF_DENSITY) == (None, None)
@@ -443,10 +448,10 @@ class TestWindowedChi2:
         edges = np.concatenate([np.linspace(chi2.lo, chi2.hi, k + 1) for k in CHI2_BIN_LADDER])
         planted = np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 1)])
         positions = np.concatenate([planted, sample_positions(
-            OFF_DENSITY, n, np.random.default_rng(n)).positions])
+            OFF_DENSITY, n, np.random.default_rng(n))])
         chi2.feed(positions)
         windowed = OFF_DENSITY.restrict(chi2.lo, chi2.hi)
-        conditioned = filter_positions(PositionSample(positions, GEOM), chi2.lo, chi2.hi)
+        conditioned = filter_positions(positions, chi2.lo, chi2.hi)
         fits = 0
         for n_bins in CHI2_BIN_LADDER:
             with pytest.MonkeyPatch.context() as patch:
@@ -459,7 +464,7 @@ class TestWindowedChi2:
         assert fits >= 4
 
     def test_blocks_and_groups_sum_to_one_feed(self):
-        positions = sample_positions(BOTH_DENSITY, 20_000, np.random.default_rng(18)).positions
+        positions = sample_positions(BOTH_DENSITY, 20_000, np.random.default_rng(18))
         groups = np.random.default_rng(19).integers(0, 3, positions.size)
         whole = WindowedChi2(BOTH_DENSITY)
         whole.feed(positions)
@@ -476,6 +481,11 @@ class TestWindowedChi2:
         chi2 = WindowedChi2(OFF_DENSITY)
         with pytest.raises(ValueError, match="window"):
             chi2.finish(unit_interval_density())
+        # The same span and fringe period on a coarser grid: the window's
+        # edges snap to other grid points.
+        coarse = ensemble_density(Illumination.OFF, dataclasses.replace(GEOM, grid_points=4096))
+        with pytest.raises(ValueError, match="the density's window is not the one"):
+            chi2.finish(coarse)
 
     def test_only_a_sparse_table_steps_down_the_ladder(self, monkeypatch):
         # Expected masses that sum to 2 over the window fail chi_square_gof's
@@ -484,7 +494,7 @@ class TestWindowedChi2:
         cdf = GriddedCdf.cdf
         monkeypatch.setattr(GriddedCdf, "cdf", lambda self, q: 2 * cdf(self, q))
         with pytest.raises(ValueError, match="not normalized over the histogram range"):
-            windowed_chi2(sample.positions, OFF_DENSITY)
+            windowed_chi2(sample, OFF_DENSITY)
 
 
 # Simulation-based calibration (Talts et al. 2018): under the true model a
@@ -627,27 +637,26 @@ class TestFringeVisibilityEstimator:
         rng = np.random.default_rng(14)
         coherent = sample_positions(OFF_DENSITY, 100_000, rng)
         incoherent = sample_positions(BOTH_DENSITY, 100_000, rng)
-        assert fringe_visibility_from_positions(coherent) > 0.9
-        assert fringe_visibility_from_positions(incoherent) < 0.05
+        assert fringe_visibility_from_positions(coherent, GEOM) > 0.9
+        assert fringe_visibility_from_positions(incoherent, GEOM) < 0.05
 
     def test_empty_window_is_an_error(self):
-        sample = PositionSample(np.array([0.19]), GEOM)
         with pytest.raises(ValueError, match="window"):
-            fringe_visibility_from_positions(sample)
+            fringe_visibility_from_positions(np.array([0.19]), GEOM)
 
     def test_blocks_add_up_to_the_whole_sample(self):
         sample = sample_positions(OFF_DENSITY, 50_000, np.random.default_rng(20))
         visibility = FringeVisibility(GEOM)
-        for block in np.array_split(sample.positions, 7):
+        for block in np.array_split(sample, 7):
             visibility.feed(block)
         half = 3 * GEOM.fringe_period
-        assert visibility.arrivals == np.count_nonzero(np.abs(sample.positions) <= half)
+        assert visibility.arrivals == np.count_nonzero(np.abs(sample) <= half)
         assert visibility.finish() == pytest.approx(
-            fringe_visibility_from_positions(sample), rel=1e-12)
+            fringe_visibility_from_positions(sample, GEOM), rel=1e-12)
 
     def test_p_no_fringes_underflows_to_zero_with_fringes(self):
         visibility = FringeVisibility(GEOM)
-        visibility.feed(sample_positions(OFF_DENSITY, 10_000, np.random.default_rng(22)).positions)
+        visibility.feed(sample_positions(OFF_DENSITY, 10_000, np.random.default_rng(22)))
         with np.errstate(all="raise"):
             assert visibility.p_no_fringes() == 0.0
 
